@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Advisory cross-crate dead-public-API sweep (warnalyzer-style).
+# Cross-crate dead-public-API sweep (warnalyzer-style).
 #
 # rustc's dead_code lint stops at crate boundaries: an item that is
 # `pub` is "used" as far as its own crate is concerned, even when no
@@ -13,11 +13,12 @@
 #
 # Intentional exports (public API kept for downstream users, trait
 # impls resolved by name, serde shapes) live in ci/deadpub_allowlist.txt
-# — one identifier per line, `#` comments allowed.
+# — one identifier per line, `#` comments allowed. An entry must name a
+# declared public item: a stale entry (its item deleted or renamed) is
+# a finding too, so the allowlist cannot outlive what it excuses.
 #
-# Exit code: 1 when non-allowlisted findings exist, else 0. CI runs
-# this advisory (continue-on-error), so the exit code colors the job
-# without blocking merges.
+# Exit code: 1 when non-allowlisted findings or stale allowlist entries
+# exist, else 0. CI blocks on it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,6 +45,18 @@ fi
 decls=$(grep -rn --include='*.rs' -E '^[[:space:]]*pub (async )?(fn|struct|enum|trait|const|type) [A-Za-z_][A-Za-z0-9_]*' crates/*/src \
     | sed -E 's/^([^:]+):([0-9]+):[[:space:]]*pub (async )?(fn|struct|enum|trait|const|type) ([A-Za-z_][A-Za-z0-9_]*).*/\1:\2:\5/')
 
+# Stale allowlist entries: identifiers no public declaration carries.
+declare -A declared
+while IFS=: read -r _ _ ident; do
+    [[ -n "$ident" ]] && declared["$ident"]=1
+done <<< "$decls"
+for ident in "${!allowed[@]}"; do
+    if [[ -z "${declared[$ident]:-}" ]]; then
+        echo "stale allowlist entry: $ident (no public item of that name)"
+        findings=$((findings + 1))
+    fi
+done
+
 while IFS=: read -r file line ident; do
     [[ -z "$ident" ]] && continue
     [[ -n "${allowed[$ident]:-}" ]] && continue
@@ -63,8 +76,8 @@ while IFS=: read -r file line ident; do
 done <<< "$decls"
 
 echo
-echo "checked $checked public declarations; $findings potentially dead (allowlist: $allow_count entries)"
+echo "checked $checked public declarations; $findings findings (allowlist: $allow_count entries)"
 if [[ "$findings" -gt 0 ]]; then
-    echo "add intentional exports to $allowlist, or delete the item"
+    echo "add intentional exports to $allowlist, delete the item, or drop the stale entry"
     exit 1
 fi

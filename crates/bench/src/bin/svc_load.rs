@@ -47,16 +47,18 @@
 //! Chaos modes, for the crash-recovery CI gate:
 //!
 //! * `--chaos [--jobs N] [--state chaos_state.json]` — attacks a
-//!   *journaled* server: posts `chaos-panic` requests (each must fail
+//!   store-backed server (`serve --store-dir`, which records async
+//!   admissions in its segment log): posts `chaos-panic` requests (each must fail
 //!   with an isolated 500 while the service keeps answering), kills
 //!   connections mid-request, then submits N async jobs and records
 //!   their ids plus the locally computed expected response bytes in the
 //!   state file. The harness SIGKILLs the server afterwards.
 //! * `--chaos-verify --state chaos_state.json` — runs against the
 //!   *restarted* server: polls every recorded job until the replayed
-//!   journal finishes it, byte-compares each response against the
+//!   job records finish it, byte-compares each response against the
 //!   expected bytes, re-posts each body expecting the identical answer,
-//!   and writes the `BENCH_chaos.json` artifact.
+//!   requires `noc_svc_journal_replayed_total` > 0, and writes the
+//!   `BENCH_chaos.json` artifact.
 //!
 //! Delta modes, for the warm-start CI gate (`POST /v1/schedule/delta`):
 //!
@@ -65,7 +67,8 @@
 //!   repair), checks sync answers from two independent clients are
 //!   byte-identical to each other and to the local bytes (covering both
 //!   warm-start and forced-fallback edit sequences), then submits N
-//!   async journaled delta jobs and records their ids, bodies, expected
+//!   async delta jobs (recorded by the store-backed server) and records
+//!   their ids, bodies, expected
 //!   bytes, and the graph/edits needed to re-validate. The harness
 //!   SIGKILLs the server afterwards.
 //! * `--delta-verify --state delta_state.json` — runs against the
@@ -86,8 +89,8 @@
 //!   response is durable on disk by the time the 200 arrives), records
 //!   every body with its expected bytes in the state file, then
 //!   submits a trailing wave of async jobs (a heavy pin first) so the
-//!   harness's SIGKILL lands with segment writes and journal entries
-//!   in flight.
+//!   harness's SIGKILL lands with segment writes and job records in
+//!   flight.
 //! * `--store-verify --state store_state.json` — runs against the
 //!   *restarted* server: waits for the replayed backlog to drain,
 //!   re-posts every recorded body and requires a byte-identical 200
@@ -1501,7 +1504,7 @@ struct ChaosBench {
 }
 
 /// Chaos phase: panic-injection probes, mid-request connection kills,
-/// then a wave of journaled async jobs whose expected bytes are
+/// then a wave of recorded async jobs whose expected bytes are
 /// computed locally. Returns the process exit code.
 fn run_chaos(addr: SocketAddr, seed: u64, jobs: usize, timeout: Duration, state_path: &str) -> i32 {
     let mut errors = 0usize;
@@ -1586,7 +1589,7 @@ fn run_chaos(addr: SocketAddr, seed: u64, jobs: usize, timeout: Duration, state_
         }
     }
 
-    // 3. Journaled async wave: fresh seeds (disjoint from the normal
+    // 3. Recorded async wave: fresh seeds (disjoint from the normal
     //    load mix, so no finished twin or cache entry can answer 200)
     //    with the expected bytes computed locally — schedules are
     //    byte-deterministic, so the restarted server must reproduce
@@ -1683,7 +1686,7 @@ fn run_chaos(addr: SocketAddr, seed: u64, jobs: usize, timeout: Duration, state_
         }
     }
     println!(
-        "{} async jobs accepted and journaled; state -> {state_path}; {errors} errors",
+        "{} async jobs accepted and recorded; state -> {state_path}; {errors} errors",
         state.jobs.len()
     );
     i32::from(errors > 0 || state.jobs.is_empty())
@@ -1692,7 +1695,7 @@ fn run_chaos(addr: SocketAddr, seed: u64, jobs: usize, timeout: Duration, state_
 /// Verify phase, run against the restarted server: every job recorded
 /// by the chaos phase must finish with exactly the locally computed
 /// bytes, a re-post of each body must hit the recovered result, and the
-/// journal-replay counter must prove the recovery actually happened.
+/// job-replay counter must prove the recovery actually happened.
 /// Returns the process exit code.
 fn run_chaos_verify(
     addr: SocketAddr,
@@ -1716,7 +1719,7 @@ fn run_chaos_verify(
     let mut recovered = 0usize;
     let mut byte_identical = 0usize;
     let mut repost_identical = 0usize;
-    // Generous patience: the restarted server replays the journal and
+    // Generous patience: the restarted server replays its job records and
     // re-runs every unfinished job before the answers converge.
     let mut client = match Client::connect_retry(addr, Duration::from_secs(30)) {
         Ok(c) => c,
@@ -1813,7 +1816,7 @@ fn run_chaos_verify(
     };
     println!(
         "{recovered}/{} jobs recovered, {byte_identical} byte-identical, \
-         {repost_identical} re-posts identical, {journal_replayed} journal records replayed, \
+         {repost_identical} re-posts identical, {journal_replayed} job records replayed, \
          {errors} errors",
         report.jobs
     );
@@ -1955,7 +1958,7 @@ fn delta_problem(
 }
 
 /// Delta phase: cross-client byte-determinism probes on sync delta
-/// requests, then a wave of journaled async delta jobs whose expected
+/// requests, then a wave of recorded async delta jobs whose expected
 /// bytes are computed locally. Returns the process exit code.
 fn run_delta(addr: SocketAddr, seed: u64, jobs: usize, timeout: Duration, state_path: &str) -> i32 {
     let mut errors = 0usize;
@@ -2025,7 +2028,7 @@ fn run_delta(addr: SocketAddr, seed: u64, jobs: usize, timeout: Duration, state_
     }
     println!("cross-client determinism probes done ({errors} errors so far)");
 
-    // 2. Journaled async wave, disjoint seeds: accepted-but-maybe-
+    // 2. Recorded async wave, disjoint seeds: accepted-but-maybe-
     //    unfinished when the harness SIGKILLs the server.
     let mut state = DeltaState {
         seed,
@@ -2089,7 +2092,7 @@ fn run_delta(addr: SocketAddr, seed: u64, jobs: usize, timeout: Duration, state_
         }
     }
     println!(
-        "{} async delta jobs accepted and journaled; state -> {state_path}; {errors} errors",
+        "{} async delta jobs accepted and recorded; state -> {state_path}; {errors} errors",
         state.jobs.len()
     );
     i32::from(errors > 0 || state.jobs.is_empty())
@@ -2098,7 +2101,7 @@ fn run_delta(addr: SocketAddr, seed: u64, jobs: usize, timeout: Duration, state_
 /// Delta verify phase, run against the restarted server: every recorded
 /// delta job must finish with exactly the locally computed bytes, a
 /// re-post must reproduce them, every repaired schedule must validate
-/// against its edited graph and platform, and the journal-replay
+/// against its edited graph and platform, and the job-replay
 /// counter must prove the recovery happened. Returns the exit code.
 fn run_delta_verify(
     addr: SocketAddr,
@@ -2332,7 +2335,7 @@ fn run_delta_verify(
     println!(
         "{recovered}/{} delta jobs recovered, {byte_identical} byte-identical, \
          {repost_identical} re-posts identical, {validated} schedules re-validated, \
-         {journal_replayed} journal records replayed, {errors} errors",
+         {journal_replayed} job records replayed, {errors} errors",
         report.jobs
     );
     match serde_json::to_string_pretty(&report) {
@@ -2393,7 +2396,7 @@ struct StoreSvcBench {
 /// Store fill phase: a synchronous wave whose every answer is durable
 /// on disk at 200 time, recorded with its bytes; then a trailing async
 /// wave (heavy pin first) so the harness's SIGKILL lands with segment
-/// writes and journal entries in flight. Returns the exit code.
+/// writes and job records in flight. Returns the exit code.
 fn run_store_fill(
     addr: SocketAddr,
     seed: u64,
@@ -2457,7 +2460,7 @@ fn run_store_fill(
 
     // Trailing async wave: the heavy anneal job pins a single-worker
     // server, so the rest is accepted-but-unfinished — the SIGKILL
-    // lands with journal entries live and store writes still owed.
+    // lands with job records live and store writes still owed.
     for j in 0..4usize {
         let scheduler = if j == 0 { "anneal" } else { "edf" };
         let mut cfg = noc_ctg::prelude::TgffConfig::category_i(
@@ -2540,7 +2543,7 @@ fn run_store_verify(
         state.jobs.len()
     );
 
-    // Let the replayed journal backlog drain first: re-run jobs settle,
+    // Let the replayed job backlog drain first: re-run jobs settle,
     // so the executed counter is quiescent before the gated re-posts.
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {

@@ -79,8 +79,7 @@ USAGE:
 
   noceas serve [--addr 127.0.0.1:8533] [--http-workers N]
                [--sched-workers N] [--queue N] [--cache N] [--threads N]
-               [--budget-ms MS] [--journal PATH] [--store-dir DIR]
-               [--store-segment-bytes N] [--net reactor|thread]
+               [--budget-ms MS] [--store-dir DIR] [--store-segment-bytes N]
                [--peers ADDR,ADDR,...] [--self-addr ADDR]
                [--peer-timeout-ms MS] [--probe-ms MS] [--anti-entropy-ms MS]
                [--flight-recorder-entries N] [--slow-ms MS] [--log-json PATH]
@@ -91,21 +90,18 @@ USAGE:
       --budget-ms bounds each request's scheduler; past the budget the
       service answers the degraded energy-blind EDF fallback, marked
       \"degraded\":true plus a Degraded-Mode header, instead of a 500.
-      --journal write-ahead-logs accepted async jobs to PATH; after a
-      crash (even kill -9) the restarted server replays the journal,
-      re-runs unfinished jobs and answers byte-identically.
       --store-dir persists every response to a checksummed segment log
       in DIR: restarts answer repeat requests byte-identically from
       disk with zero recomputes, corrupt records are quarantined, and
       any disk fault degrades the server to memory-only serving
       (Store-Degraded header + noc_svc_store_degraded metric) instead
-      of failing requests. --store-segment-bytes caps a segment before
-      rotation (default 8 MiB).
-      --net picks the entry path: the default `reactor` multiplexes
-      every connection over poll(2) event loops (tens of thousands of
-      idle keep-alive clients on --http-workers threads); `thread`
-      keeps the original blocking thread-per-connection pool. The two
-      answer byte-identically.
+      of failing requests. The same log write-ahead-records accepted
+      async jobs: after a crash (even kill -9) the restarted server
+      finishes them from the log and answers byte-identically.
+      --store-segment-bytes caps a segment before rotation (default
+      8 MiB). Connections are multiplexed over --http-workers poll(2)
+      event loops, so tens of thousands of idle keep-alive clients cost
+      no threads.
       --peers runs multi-node: requests hash onto a consistent-hash
       ring over the peer list, cache misses probe the owning peer
       before computing locally, done-records replicate to the ring
@@ -125,7 +121,7 @@ USAGE:
       requests at or past --slow-ms (default 250) snapshot their span
       tree into GET /v1/internal/slow. --log-json appends structured
       JSONL service events (admissions rejected, peers flipping
-      Up/Down, store degradation, journal replay) to PATH instead of
+      Up/Down, store degradation, job replay) to PATH instead of
       stderr. See docs/OBSERVABILITY.md.
 
   noceas cluster status --nodes ADDR,ADDR,...
@@ -575,11 +571,6 @@ fn validate_cmd(args: &Args) -> Result<String, String> {
 }
 
 fn serve(args: &Args) -> Result<String, String> {
-    let net = match args.get_or("net", "reactor") {
-        "reactor" => noc_svc::NetMode::Reactor,
-        "thread" => noc_svc::NetMode::Thread,
-        other => return Err(format!("bad --net `{other}` (reactor|thread)")),
-    };
     let peers = match args.get("peers") {
         None => Vec::new(),
         Some(list) => list
@@ -591,7 +582,6 @@ fn serve(args: &Args) -> Result<String, String> {
     };
     let config = noc_svc::ServiceConfig {
         addr: args.get_or("addr", "127.0.0.1:8533").to_owned(),
-        net,
         peers,
         self_addr: args.get("self-addr").map(str::to_owned),
         http_workers: args.get_num("http-workers", 4usize)?,
@@ -606,7 +596,6 @@ fn serve(args: &Args) -> Result<String, String> {
                     .map_err(|_| format!("bad --budget-ms `{text}` (milliseconds)"))?,
             ),
         },
-        journal: args.get("journal").map(str::to_owned),
         store_dir: args.get("store-dir").map(str::to_owned),
         store_segment_bytes: args
             .get_num("store-segment-bytes", noc_svc::store::DEFAULT_SEGMENT_BYTES)?,

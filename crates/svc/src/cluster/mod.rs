@@ -2,7 +2,7 @@
 //! replication with retry, and anti-entropy self-healing.
 //!
 //! Every node runs the full single-node engine — admission, queue,
-//! journal, tiered store — and the cluster layer only changes where
+//! tiered store — and the cluster layer only changes where
 //! *bytes* come from and where they are persisted:
 //!
 //! - **Ownership.** The [`Ring`] maps each request hash to an owner
@@ -117,7 +117,7 @@ impl ClusterConfig {
     ///
     /// [`ClusterConfigError`] when a peer does not parse or two
     /// distinct identities share one address.
-    pub fn membership(&self) -> Result<HashMap<String, SocketAddr>, ClusterConfigError> {
+    pub(crate) fn membership(&self) -> Result<HashMap<String, SocketAddr>, ClusterConfigError> {
         let mut peers = self.peers.clone();
         if !peers.contains(&self.self_addr) {
             peers.push(self.self_addr.clone());
@@ -149,7 +149,7 @@ impl ClusterConfig {
 
 /// Why a [`ClusterConfig`] was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClusterConfigError {
+pub(crate) enum ClusterConfigError {
     /// A peer string does not parse as `host:port`.
     BadPeer {
         /// The offending peer string.

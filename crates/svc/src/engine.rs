@@ -18,10 +18,11 @@
 //! * **Degraded mode** — with a per-request compute budget configured,
 //!   a scheduler that exhausts it is answered by the cheap energy-blind
 //!   EDF fallback, marked `"degraded": true`, instead of a 500.
-//! * **Crash recovery** — with a journal configured, accepted async
-//!   jobs are write-ahead logged and replayed on startup (see
-//!   [`crate::journal`]), so a killed server finishes what it admitted
-//!   and serves byte-identical responses after restart.
+//! * **Crash recovery** — with a persistent store configured, accepted
+//!   async jobs are written ahead into its segment log as job records
+//!   (see [`crate::store::JobRecord`]) and settled on startup, so a
+//!   killed server finishes what it admitted and serves byte-identical
+//!   responses after restart.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -48,11 +49,10 @@ use crate::cache::JobOutput;
 use crate::cluster::{
     Cluster, ClusterConfig, ClusterObs, ClusterStats, RecordEnvelope, RecordSource,
 };
-use crate::journal::{Journal, Record};
 use crate::metrics::Metrics;
 use crate::obs::{span_us, LogLevel, Recorder, ServiceLog, TraceCtx};
 use crate::queue::{JobQueue, PushError};
-use crate::store::{Store, StoreConfig, StoreStats, TieredStore};
+use crate::store::{JobRecord, Store, StoreConfig, StoreStats, TieredStore};
 
 /// Finished jobs kept for `GET /v1/jobs/<id>` before the oldest are
 /// forgotten (their responses usually survive longer in the cache).
@@ -106,11 +106,11 @@ pub struct Job {
     id: String,
     /// Canonical request string — the cache key.
     key: String,
-    /// Whether this job has an `acc` record in the journal, so its
-    /// terminal phase must be journaled too. Set at admission for async
-    /// submissions; flips to `true` when an async client joins a job a
-    /// sync submission created first.
-    journaled: AtomicBool,
+    /// Whether this job has an accepted record in the store, so its
+    /// terminal phase must be durable on this node too. Set at
+    /// admission for async submissions; flips to `true` when an async
+    /// client joins a job a sync submission created first.
+    recorded: AtomicBool,
     /// Trace context of the submission that admitted this job (the
     /// first one, under coalescing). Worker-side spans — compute,
     /// store write, replication — parent onto it.
@@ -258,13 +258,12 @@ pub struct EngineConfig {
     /// budgets make responses timing-dependent — leave this off when
     /// byte determinism across runs matters more than latency bounds.
     pub budget_ms: Option<u64>,
-    /// Path of the crash-safe job journal; `None` disables journaling.
-    pub journal: Option<String>,
     /// Directory of the persistent schedule store's disk tier; `None`
     /// runs memory-only (the pre-store behaviour). When set, finished
     /// responses are written through to an append-only segment log and
-    /// survive restarts, and any disk failure degrades the service
-    /// back to memory-only mode instead of failing requests.
+    /// survive restarts, async admissions are written ahead into the
+    /// same log, and any disk failure degrades the service back to
+    /// memory-only mode instead of failing requests.
     pub store_dir: Option<String>,
     /// Store segment rotation threshold, bytes.
     pub store_segment_bytes: u64,
@@ -290,7 +289,6 @@ impl Default for EngineConfig {
             cache_capacity: 1024,
             threads: 0,
             budget_ms: None,
-            journal: None,
             store_dir: None,
             store_segment_bytes: crate::store::DEFAULT_SEGMENT_BYTES,
             cluster: None,
@@ -322,7 +320,6 @@ pub struct Engine {
     /// persistent disk tier (see [`crate::store`]).
     store: TieredStore,
     jobs: Mutex<JobTable>,
-    journal: Option<Journal>,
     /// Cluster membership and peer I/O; `None` in single-node mode.
     cluster: Option<Cluster>,
     /// Cluster-mode id → key resolution for memory-tier records.
@@ -338,22 +335,15 @@ pub struct Engine {
 impl Engine {
     /// Creates an engine; workers are spawned by the caller with
     /// [`worker_loop`](Engine::worker_loop). When the config names a
-    /// journal, its records are replayed first: finished jobs come back
-    /// with their exact response bytes and accepted-but-unfinished jobs
-    /// are re-enqueued (past the capacity bound — an acknowledged job is
-    /// never dropped).
+    /// store, its job records are replayed first: finished jobs come
+    /// back with their exact response bytes and accepted-but-unfinished
+    /// jobs are re-enqueued (past the capacity bound — an acknowledged
+    /// job is never dropped).
     ///
     /// # Errors
     ///
-    /// Propagates journal open/recovery I/O failures.
+    /// Propagates service-log and cluster start-up I/O failures.
     pub fn new(config: EngineConfig) -> io::Result<Arc<Self>> {
-        let (journal, backlog) = match &config.journal {
-            Some(path) => {
-                let (journal, records) = Journal::open(path)?;
-                (Some(journal), records)
-            }
-            None => (None, Vec::new()),
-        };
         let metrics = Metrics::new();
         let node = config
             .cluster
@@ -370,11 +360,12 @@ impl Engine {
             config.flight_recorder_entries,
             config.slow_ms,
         ));
+        let mut backlog = Vec::new();
         let store = match &config.store_dir {
             Some(dir) => {
                 let stats = Arc::new(StoreStats::default());
                 metrics.set_store_stats(Arc::clone(&stats));
-                let disk = match Store::open(
+                let disk = match Store::open_with_backlog(
                     StoreConfig {
                         dir: PathBuf::from(dir),
                         segment_max_bytes: config.store_segment_bytes,
@@ -382,7 +373,10 @@ impl Engine {
                     },
                     Arc::clone(&stats),
                 ) {
-                    Ok(disk) => Some(disk),
+                    Ok((disk, jobs)) => {
+                        backlog = jobs;
+                        Some(disk)
+                    }
                     // A store that cannot open is the same failure
                     // class as one that fails later: serve memory-only
                     // rather than refuse to start.
@@ -423,7 +417,6 @@ impl Engine {
                 map: HashMap::new(),
                 finished: VecDeque::new(),
             }),
-            journal,
             cluster,
             hash_keys: Mutex::new(HashIndex {
                 map: HashMap::new(),
@@ -441,128 +434,44 @@ impl Engine {
             let weak = Arc::downgrade(&engine);
             cluster.bind_source(weak as std::sync::Weak<dyn RecordSource>);
         }
-        let backlog_len = backlog.len();
-        let kept = engine.replay(backlog);
-        engine.compact_journal(kept, backlog_len);
+        engine.replay(backlog);
         Ok(engine)
     }
 
-    /// Applies the journal backlog: one pass folds the records per job
-    /// id (keeping first-seen order), then each job is restored to its
-    /// recorded terminal phase or, lacking one, re-enqueued to run.
-    ///
-    /// Returns the records the journal still needs after this replay —
-    /// the compaction set. A record can be dropped once the response
-    /// bytes it protects are durable (and verified readable) in the
-    /// persistent store; everything else is kept.
-    fn replay(&self, backlog: Vec<Record>) -> Vec<Record> {
-        let mut order: Vec<String> = Vec::new();
-        let mut accepted: HashMap<String, String> = HashMap::new();
-        let mut terminal: HashMap<String, Record> = HashMap::new();
+    /// Settles the store's job backlog. Records fold per job id in
+    /// first-seen order, the latest record winning (a re-admission
+    /// after a failure is owed a fresh run). A failed job is restored
+    /// as failed; an accepted one whose response the store holds — the
+    /// id's lanes address it — is restored as done; any other is
+    /// re-enqueued to run. Replay appends nothing to the store.
+    fn replay(&self, backlog: Vec<JobRecord>) {
         let total = backlog.len() as u64;
+        let mut order: Vec<String> = Vec::new();
+        let mut latest: HashMap<String, JobRecord> = HashMap::new();
         for record in backlog {
             let id = record.id().to_owned();
-            if !accepted.contains_key(&id) && !terminal.contains_key(&id) {
-                order.push(id.clone());
-            }
-            match record {
-                Record::Accepted { body, .. } => {
-                    accepted.insert(id, body);
-                }
-                done_or_failed => {
-                    terminal.insert(id, done_or_failed);
-                }
+            if latest.insert(id.clone(), record).is_none() {
+                order.push(id);
             }
         }
-        let mut kept: Vec<Record> = Vec::new();
-        let keep_accepted = |kept: &mut Vec<Record>, id: &str| {
-            if let Some(body) = accepted.get(id) {
-                kept.push(Record::Accepted {
-                    id: id.to_owned(),
-                    body: body.clone(),
-                });
-            }
-        };
         for id in order {
-            match terminal.remove(&id) {
-                Some(Record::Done { degraded, body, .. }) => {
-                    // The journal records response bytes only; stage
-                    // stats do not survive a restart.
-                    let output = JobOutput {
-                        body: Arc::new(body.clone()),
-                        degraded,
-                        stats: None,
-                    };
-                    // Re-derive the cache key from the accepted body so
-                    // resubmissions of the same problem hit the store;
-                    // the write-through also persists pre-store journal
-                    // bodies, which is what lets compaction drop them.
-                    let durable = match accepted.get(&id).and_then(|b| journaled_key(b)) {
-                        Some(key) => self.store.insert(&key, &output),
-                        None => false,
-                    };
-                    if !durable {
-                        keep_accepted(&mut kept, &id);
-                        kept.push(Record::Done {
-                            id: id.clone(),
-                            degraded,
-                            body,
-                        });
-                    }
-                    self.restore_finished(&id, JobPhase::Done(output));
-                }
-                Some(Record::DoneStored { .. }) => {
-                    // The bytes live in the store; resolve them by the
-                    // key derived from the accepted body. Resolution
-                    // re-verifies the record checksum, so a quarantined
-                    // or degraded store falls through to a re-run —
-                    // never to wrong bytes.
-                    let resolved = accepted
-                        .get(&id)
-                        .and_then(|b| journaled_key(b))
-                        .and_then(|key| self.store.get(&key));
-                    match resolved {
-                        Some(output) => {
-                            self.restore_finished(&id, JobPhase::Done(output));
-                        }
-                        None => match accepted.get(&id) {
-                            // Deterministic scheduling owes the same
-                            // bytes the store lost: re-run the job.
-                            Some(body) => {
-                                keep_accepted(&mut kept, &id);
-                                if let Err(reason) = self.recover(&id, body) {
-                                    self.restore_finished(&id, JobPhase::Failed(reason));
-                                }
-                            }
-                            None => {
-                                self.restore_finished(
-                                    &id,
-                                    JobPhase::Failed(
-                                        "stored response unavailable after restart".to_owned(),
-                                    ),
-                                );
-                            }
-                        },
-                    }
-                }
-                Some(Record::Failed { error, .. }) => {
-                    kept.push(Record::Failed {
-                        id: id.clone(),
-                        error: error.clone(),
-                    });
+            match latest.remove(&id).expect("order only holds seen ids") {
+                JobRecord::Failed { error, .. } => {
                     self.restore_finished(&id, JobPhase::Failed(error));
                 }
-                Some(Record::Accepted { .. }) => unreachable!("acc records never land in terminal"),
-                // Accepted but never finished: the crash interrupted it.
-                // Re-admit and re-run; determinism makes the re-run
-                // byte-identical to the answer the lost run owed.
-                None => {
-                    keep_accepted(&mut kept, &id);
-                    let body = accepted.get(&id).expect("order only holds seen ids");
-                    if let Err(reason) = self.recover(&id, body) {
-                        self.restore_finished(&id, JobPhase::Failed(reason));
+                // Resolution re-verifies the record checksum and the
+                // key's hash, so a quarantined or degraded store falls
+                // through to a re-run — never to wrong bytes.
+                JobRecord::Accepted { body, .. } => match self.lookup_record(&id) {
+                    Some((_, output)) => self.restore_finished(&id, JobPhase::Done(output)),
+                    // Deterministic scheduling owes the same bytes the
+                    // lost run would have produced: re-run the job.
+                    None => {
+                        if let Err(reason) = self.recover(&id, &body) {
+                            self.restore_finished(&id, JobPhase::Failed(reason));
+                        }
                     }
-                }
+                },
             }
         }
         self.metrics
@@ -572,49 +481,21 @@ impl Engine {
             self.log.event(
                 LogLevel::Info,
                 "journal-replay",
-                &format!("replayed {total} journal records after restart"),
+                &format!("replayed {total} job records after restart"),
                 &[("records", &total.to_string())],
             );
         }
         self.metrics
             .queue_depth
             .store(self.queue.depth() as u64, Ordering::Relaxed);
-        kept
     }
 
-    /// Rewrites the journal down to `kept` when the store's disk tier
-    /// made some records redundant. Skipped without a healthy disk
-    /// tier — compaction must never drop bytes the store cannot serve.
-    fn compact_journal(&self, kept: Vec<Record>, total: usize) {
-        let Some(journal) = &self.journal else { return };
-        if kept.len() >= total {
-            return;
-        }
-        let disk_ok = self.store.disk().is_some_and(|d| !d.is_degraded());
-        if !disk_ok {
-            return;
-        }
-        match journal.compact(&kept) {
-            Ok(()) => {
-                self.metrics
-                    .journal_compacted
-                    .fetch_add((total - kept.len()) as u64, Ordering::Relaxed);
-            }
-            Err(err) => self.log.event(
-                LogLevel::Warn,
-                "journal-compact-failed",
-                &format!("journal compaction failed: {err}"),
-                &[],
-            ),
-        }
-    }
-
-    /// Inserts a journal-recovered job directly in a terminal phase.
+    /// Inserts a recovered job directly in a terminal phase.
     fn restore_finished(&self, id: &str, phase: JobPhase) {
         let job = Arc::new(Job {
             id: id.to_owned(),
             key: String::new(),
-            journaled: AtomicBool::new(false),
+            recorded: AtomicBool::new(false),
             trace: TraceCtx::untraced(),
             work: Mutex::new(None),
             state: Mutex::new(phase),
@@ -626,16 +507,15 @@ impl Engine {
         table.finished.push_back(id.to_owned());
     }
 
-    /// Re-admits one accepted-but-unfinished journal record. Unlike
-    /// [`submit`](Engine::submit) this bypasses the capacity bound and
-    /// never re-journals the acceptance (the original `acc` record is
-    /// still on disk).
+    /// Re-admits one accepted-but-unfinished job. Unlike admission this
+    /// bypasses the capacity bound and never re-records the acceptance
+    /// (the original accepted record is still on disk).
     fn recover(&self, id: &str, body: &str) -> Result<(), String> {
         let (work, key) = self.resolve_body(body)?;
         let job = Arc::new(Job {
             id: id.to_owned(),
             key,
-            journaled: AtomicBool::new(true),
+            recorded: AtomicBool::new(true),
             trace: TraceCtx::untraced(),
             work: Mutex::new(Some(work)),
             state: Mutex::new(JobPhase::Queued),
@@ -704,18 +584,18 @@ impl Engine {
     }
 
     /// Resolves a body of either request shape (sniffing the `"prior"`
-    /// key that only delta requests carry) — the journal recovery path,
-    /// which must re-admit both kinds.
+    /// key that only delta requests carry) — the recovery path, which
+    /// must re-admit both kinds.
     fn resolve_body(&self, body: &str) -> Result<(JobWork, String), String> {
         let value: Value =
-            serde_json::from_str(body).map_err(|e| format!("journaled body unparseable: {e}"))?;
+            serde_json::from_str(body).map_err(|e| format!("accepted body unparseable: {e}"))?;
         if value.as_object().is_some_and(|o| o.get("prior").is_some()) {
             let request = DeltaRequest::from_value(&value)
-                .map_err(|e| format!("journaled body unparseable: {e}"))?;
+                .map_err(|e| format!("accepted body unparseable: {e}"))?;
             self.resolve_delta(&request)
         } else {
             let request = ScheduleRequest::from_value(&value)
-                .map_err(|e| format!("journaled body unparseable: {e}"))?;
+                .map_err(|e| format!("accepted body unparseable: {e}"))?;
             self.resolve(&request)
         }
     }
@@ -727,13 +607,14 @@ impl Engine {
     }
 
     /// Admits one `POST /v1/schedule` body.
-    #[must_use]
-    pub fn submit(&self, body: &str) -> Submission {
+    #[cfg(test)]
+    fn submit(&self, body: &str) -> Submission {
         self.submit_traced(body, &TraceCtx::untraced())
     }
 
-    /// [`submit`](Engine::submit) with the request's trace context, so
-    /// peer fills and worker-side spans attach to the caller's trace.
+    /// Admits one `POST /v1/schedule` body under the request's trace
+    /// context, so peer fills and worker-side spans attach to the
+    /// caller's trace.
     #[must_use]
     pub fn submit_traced(&self, body: &str, trace: &TraceCtx) -> Submission {
         let request: ScheduleRequest = match serde_json::from_str(body) {
@@ -753,15 +634,15 @@ impl Engine {
 
     /// Admits one `POST /v1/schedule/delta` body. Delta jobs share the
     /// whole admission pipeline — content-addressed cache, single-flight
-    /// coalescing, bounded queue, write-ahead journal — keyed on
+    /// coalescing, bounded queue, write-ahead job records — keyed on
     /// `(prior request hash, canonical edits)`.
-    #[must_use]
-    pub fn submit_delta(&self, body: &str) -> Submission {
+    #[cfg(test)]
+    fn submit_delta(&self, body: &str) -> Submission {
         self.submit_delta_traced(body, &TraceCtx::untraced())
     }
 
-    /// [`submit_delta`](Engine::submit_delta) with the request's trace
-    /// context.
+    /// Admits one `POST /v1/schedule/delta` body under the request's
+    /// trace context.
     #[must_use]
     pub fn submit_delta_traced(&self, body: &str, trace: &TraceCtx) -> Submission {
         let request: DeltaRequest = match serde_json::from_str(body) {
@@ -776,7 +657,7 @@ impl Engine {
     }
 
     /// The shared admission tail: cache lookup → single-flight join →
-    /// bounded enqueue with write-ahead journaling → backpressure.
+    /// bounded enqueue with write-ahead job records → backpressure.
     fn admit(
         &self,
         body: &str,
@@ -805,7 +686,7 @@ impl Engine {
             self.metrics
                 .observe_stage("peer_fill", fill_started.elapsed().as_secs_f64());
             if let Some(output) = filled {
-                self.store_output(&id, &key, &output);
+                self.store_output(&id, &key, &output, false);
                 // Read repair: a fill that lands on a node in the
                 // owner chain just healed a replication gap.
                 if cluster.stores_locally(&id) {
@@ -828,12 +709,12 @@ impl Engine {
                     let job = Arc::clone(existing);
                     // An async client joining a sync-created job still
                     // expects crash durability: upgrade the job to
-                    // journaled and write-ahead its acceptance now.
-                    if self.journal.is_some()
+                    // recorded and write-ahead its acceptance now.
+                    if self.store.disk().is_some()
                         && is_async
-                        && !job.journaled.swap(true, Ordering::AcqRel)
+                        && !job.recorded.swap(true, Ordering::AcqRel)
                     {
-                        self.journal_append(&Record::Accepted {
+                        self.put_job(&JobRecord::Accepted {
                             id: id.clone(),
                             body: body.to_owned(),
                         });
@@ -860,11 +741,11 @@ impl Engine {
                 }
             }
         }
-        let journaled = self.journal.is_some() && is_async;
+        let recorded = self.store.disk().is_some() && is_async;
         let job = Arc::new(Job {
             id: id.clone(),
             key,
-            journaled: AtomicBool::new(journaled),
+            recorded: AtomicBool::new(recorded),
             trace: trace.clone(),
             work: Mutex::new(Some(work)),
             state: Mutex::new(JobPhase::Queued),
@@ -875,12 +756,12 @@ impl Engine {
         match self.queue.try_push(Arc::clone(&job)) {
             Ok(()) => {
                 table.map.insert(id.clone(), Arc::clone(&job));
-                // Write-ahead: the acceptance record hits the journal
+                // Write-ahead: the acceptance record hits the store
                 // before `Enqueued` returns — i.e. before any 202 can
                 // leave the server — so a crash never acknowledges a
-                // job the journal does not know about.
-                if journaled {
-                    self.journal_append(&Record::Accepted {
+                // job the store does not know about.
+                if recorded {
+                    self.put_job(&JobRecord::Accepted {
                         id: id.clone(),
                         body: body.to_owned(),
                     });
@@ -974,7 +855,7 @@ impl Engine {
             span_us(started),
         );
         self.metrics.jobs_inflight.fetch_sub(1, Ordering::Relaxed);
-        let journaled = job.journaled.load(Ordering::Acquire);
+        let recorded = job.recorded.load(Ordering::Acquire);
         let phase = match result {
             Ok(Ok(output)) => {
                 self.metrics
@@ -991,7 +872,11 @@ impl Engine {
                 }
                 self.metrics.observe_latency(elapsed);
                 let write_started = Instant::now();
-                let durable = self.store_output(&job.id, &job.key, &output);
+                // A recorded job's response is its completion record:
+                // it lands on this node's disk even when the cluster
+                // ring puts the key elsewhere, so replay here never
+                // recomputes.
+                let durable = self.store_output(&job.id, &job.key, &output, recorded);
                 self.recorder.record(
                     &self.recorder.child(&job.trace),
                     "store_write",
@@ -1001,38 +886,12 @@ impl Engine {
                 if let Some(cluster) = &self.cluster {
                     cluster.replicate(&job.id, &job.key, &output, &job.trace);
                 }
-                if journaled {
-                    // With the bytes durable in the store, the journal
-                    // records only the completion fact — replay
-                    // resolves the body from the store, and compaction
-                    // keeps the journal bounded.
-                    let record = if durable {
-                        Record::DoneStored {
-                            id: job.id.clone(),
-                            degraded: output.degraded,
-                        }
-                    } else {
-                        Record::Done {
-                            id: job.id.clone(),
-                            degraded: output.degraded,
-                            body: output.body.as_str().to_owned(),
-                        }
-                    };
-                    let append_started = Instant::now();
-                    self.journal_append(&record);
-                    self.recorder.record(
-                        &self.recorder.child(&job.trace),
-                        "journal_append",
-                        if durable { "done-stored" } else { "done" },
-                        span_us(append_started),
-                    );
-                }
                 JobPhase::Done(output)
             }
             Ok(Err(message)) => {
                 self.metrics.schedule_errors.fetch_add(1, Ordering::Relaxed);
-                if journaled {
-                    self.journal_append(&Record::Failed {
+                if recorded {
+                    self.put_job(&JobRecord::Failed {
                         id: job.id.clone(),
                         error: message.clone(),
                     });
@@ -1046,8 +905,8 @@ impl Engine {
                 );
                 self.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
                 self.metrics.schedule_errors.fetch_add(1, Ordering::Relaxed);
-                if journaled {
-                    self.journal_append(&Record::Failed {
+                if recorded {
+                    self.put_job(&JobRecord::Failed {
                         id: job.id.clone(),
                         error: message.clone(),
                     });
@@ -1178,6 +1037,7 @@ impl Engine {
                     &prior_id,
                     prior_key,
                     &JobOutput::new(Arc::new(response.to_json())),
+                    false,
                 );
                 outcome.schedule
             }
@@ -1257,17 +1117,17 @@ impl Engine {
         output
     }
 
-    /// Appends to the journal when one is configured. Append failures
-    /// are logged, not fatal: a full disk degrades crash durability,
+    /// Appends a job record to the store's disk tier. A lost append is
+    /// logged, not fatal: a failing disk degrades crash durability,
     /// never availability.
-    fn journal_append(&self, record: &Record) {
-        if let Some(journal) = &self.journal {
-            if let Err(e) = journal.append(record) {
+    fn put_job(&self, record: &JobRecord) {
+        if let Some(disk) = self.store.disk() {
+            if !disk.put_job(record) {
                 self.log.event(
                     LogLevel::Error,
-                    "journal-append-failed",
-                    &format!("journal append failed: {e}"),
-                    &[],
+                    "job-record-lost",
+                    "job record append failed; the store is degraded",
+                    &[("id", record.id())],
                 );
             }
         }
@@ -1303,15 +1163,16 @@ impl Engine {
     }
 
     /// Stores a finished output: the memory tier always, the disk
-    /// tier only when this node owns or replicates the hash (every
-    /// node in single-node mode). Also indexes id → key for the
-    /// internal lookup endpoint. Returns disk durability.
-    fn store_output(&self, id: &str, key: &str, output: &JobOutput) -> bool {
+    /// tier when `pin_local` or when this node owns or replicates the
+    /// hash (every node in single-node mode). Also indexes id → key for
+    /// the internal lookup endpoint. Returns disk durability.
+    fn store_output(&self, id: &str, key: &str, output: &JobOutput, pin_local: bool) -> bool {
         self.note_hash(id, key);
-        let write_disk = self
-            .cluster
-            .as_ref()
-            .is_none_or(|cluster| cluster.stores_locally(id));
+        let write_disk = pin_local
+            || self
+                .cluster
+                .as_ref()
+                .is_none_or(|cluster| cluster.stores_locally(id));
         self.store.insert_tiered(key, output, write_disk)
     }
 
@@ -1436,7 +1297,7 @@ impl Engine {
         }
         let key = envelope.key.clone();
         let output = envelope.into_output();
-        self.store_output(hash, &key, &output);
+        self.store_output(hash, &key, &output, false);
         if let Some(cluster) = &self.cluster {
             cluster
                 .stats()
@@ -1489,20 +1350,6 @@ fn parse_hash_lanes(hash: &str) -> Option<(u64, u64)> {
     let a = u64::from_str_radix(&hash[..16], 16).ok()?;
     let b = u64::from_str_radix(&hash[16..], 16).ok()?;
     Some((a, b))
-}
-
-/// Re-derives the cache key of a journaled request body (either
-/// shape), sniffing the `"prior"` field only delta requests carry.
-fn journaled_key(body: &str) -> Option<String> {
-    let value: Value = serde_json::from_str(body).ok()?;
-    if value.as_object().is_some_and(|o| o.get("prior").is_some()) {
-        let request = DeltaRequest::from_value(&value).ok()?;
-        let prior = request.prior_request().ok()?;
-        Some(request.canonical_key(&prior))
-    } else {
-        let request = ScheduleRequest::from_value(&value).ok()?;
-        Some(request.canonical_key())
-    }
 }
 
 #[cfg(test)]
@@ -1839,21 +1686,39 @@ mod tests {
         ));
     }
 
+    /// Fresh per-test store directory under the OS temp dir.
+    fn store_dir(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("noc-engine-store-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn store_cfg(dir: &std::path::Path) -> EngineConfig {
+        EngineConfig {
+            store_dir: Some(dir.to_string_lossy().into_owned()),
+            ..EngineConfig::default()
+        }
+    }
+
+    /// Total bytes of every file in `dir`.
+    fn dir_bytes(dir: &std::path::Path) -> u64 {
+        std::fs::read_dir(dir)
+            .expect("store dir lists")
+            .map(|e| e.expect("entry").metadata().expect("meta").len())
+            .sum()
+    }
+
     #[test]
     fn delta_journal_replay_is_byte_identical() {
-        let path =
-            std::env::temp_dir().join(format!("noc-engine-journal-{}-delta", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let journal_cfg = EngineConfig {
-            journal: Some(path.to_string_lossy().into_owned()),
-            ..EngineConfig::default()
-        };
+        let dir = store_dir("delta-replay");
+        let store_cfg = store_cfg(&dir);
         let graph = graph_json();
         let body = format!(
             r#"{{"prior":{{"graph":{graph},"platform":"mesh:2x2","scheduler":"eas"}},"edits":[{{"SetDeadline":{{"task":0}}}}],"mode":"async"}}"#
         );
 
-        // Reference answer from a journal-free engine.
+        // Reference answer from a store-free engine.
         let reference = engine(EngineConfig::default());
         let Submission::Enqueued { job, .. } = reference.submit_delta(&body) else {
             panic!("reference delta must enqueue");
@@ -1864,15 +1729,15 @@ mod tests {
         };
 
         // "Crash": accept the async delta, never run it.
-        let crashed = engine(journal_cfg.clone());
+        let crashed = engine(store_cfg.clone());
         let Submission::Enqueued { id, .. } = crashed.submit_delta(&body) else {
             panic!("delta must enqueue");
         };
         drop(crashed);
 
-        // Restart: the delta is re-enqueued from the journal and its
-        // answer matches the reference byte for byte.
-        let restarted = engine(journal_cfg);
+        // Restart: the delta is re-enqueued from its accepted record
+        // and its answer matches the reference byte for byte.
+        let restarted = engine(store_cfg);
         assert_eq!(
             restarted.metrics.journal_replayed.load(Ordering::Relaxed),
             1
@@ -1885,18 +1750,13 @@ mod tests {
             *done.body, *expected.body,
             "delta recovery must be byte-identical"
         );
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn journal_replays_unfinished_and_finished_jobs() {
-        let path =
-            std::env::temp_dir().join(format!("noc-engine-journal-{}-replay", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let journal_cfg = EngineConfig {
-            journal: Some(path.to_string_lossy().into_owned()),
-            ..EngineConfig::default()
-        };
+        let dir = store_dir("replay");
+        let store_cfg = store_cfg(&dir);
         let graph = graph_json();
         let body_a = format!(
             r#"{{"graph":{graph},"platform":"mesh:2x2","scheduler":"edf","mode":"async"}}"#
@@ -1905,7 +1765,7 @@ mod tests {
             r#"{{"graph":{graph},"platform":"mesh:2x2","scheduler":"dls","mode":"async"}}"#
         );
 
-        // A reference run with no journal: what the crashed server owed.
+        // A reference run with no store: what the crashed server owed.
         let reference = engine(EngineConfig::default());
         let Submission::Enqueued { job, .. } = reference.submit(&body_a) else {
             panic!("reference submission must enqueue");
@@ -1916,7 +1776,7 @@ mod tests {
         };
 
         // "Crash": accept two async jobs, never run them, drop the engine.
-        let crashed = engine(journal_cfg.clone());
+        let crashed = engine(store_cfg.clone());
         let Submission::Enqueued { id: id_a, .. } = crashed.submit(&body_a) else {
             panic!("submission must enqueue");
         };
@@ -1927,7 +1787,7 @@ mod tests {
 
         // Restart: both accepted jobs are re-enqueued and re-run, and
         // the answers are byte-identical to the reference.
-        let restarted = engine(journal_cfg.clone());
+        let restarted = engine(store_cfg.clone());
         assert_eq!(
             restarted.metrics.journal_replayed.load(Ordering::Relaxed),
             2
@@ -1947,43 +1807,126 @@ mod tests {
         ));
         drop(restarted);
 
-        // Second restart: now the journal holds done records, so both
+        // Second restart: the store now holds both responses, so both
         // jobs are restored with their exact bytes without re-running,
         // and the cache answers resubmissions.
-        let warm = engine(journal_cfg);
-        assert_eq!(warm.metrics.journal_replayed.load(Ordering::Relaxed), 4);
+        let warm = engine(store_cfg);
+        assert_eq!(warm.metrics.journal_replayed.load(Ordering::Relaxed), 2);
         assert_eq!(warm.metrics.schedules_executed.load(Ordering::Relaxed), 0);
+        assert_eq!(warm.queue_depth(), 0, "nothing is re-run");
         let JobPhase::Done(warm_a) = warm.job(&id_a).expect("job restored").phase() else {
             panic!("restored job must be terminal");
         };
         assert_eq!(*warm_a.body, *expected_a.body);
         let Submission::Cached { output, .. } = warm.submit(&body_a) else {
-            panic!("restored done record must populate the cache");
+            panic!("the stored response must answer resubmissions");
         };
         assert_eq!(*output.body, *expected_a.body);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// Fresh per-test store directory under the OS temp dir.
-    fn store_dir(name: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("noc-engine-store-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
     }
 
-    fn store_cfg(dir: &std::path::Path, journal: Option<&std::path::Path>) -> EngineConfig {
-        EngineConfig {
-            store_dir: Some(dir.to_string_lossy().into_owned()),
-            journal: journal.map(|p| p.to_string_lossy().into_owned()),
-            ..EngineConfig::default()
-        }
+    #[test]
+    fn failed_async_jobs_replay_as_failed_without_rerunning() {
+        let dir = store_dir("replay-failed");
+        let cfg = store_cfg(&dir);
+        let graph = graph_json();
+        let body = format!(
+            r#"{{"graph":{graph},"platform":"mesh:2x2","scheduler":"chaos-panic","mode":"async"}}"#
+        );
+        let first = engine(cfg.clone());
+        let Submission::Enqueued { id, job } = first.submit(&body) else {
+            panic!("submission must enqueue");
+        };
+        drain(&first);
+        let JobPhase::Failed(expected) = job.wait() else {
+            panic!("a panicking scheduler fails its job");
+        };
+        drop(first);
+
+        let restarted = engine(cfg);
+        assert_eq!(
+            restarted.metrics.journal_replayed.load(Ordering::Relaxed),
+            2
+        );
+        assert_eq!(restarted.queue_depth(), 0, "a failed job is not re-run");
+        let JobPhase::Failed(error) = restarted.job(&id).expect("job restored").phase() else {
+            panic!("restored job must be failed");
+        };
+        assert_eq!(error, expected);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recorded_job_on_a_cluster_non_owner_replays_with_zero_recomputes() {
+        // Three ring members, none of the peers listening: peer fills
+        // and replication fail fast and every job computes locally.
+        let me = "127.0.0.1:1".to_owned();
+        let peers = vec![
+            me.clone(),
+            "127.0.0.1:2".to_owned(),
+            "127.0.0.1:3".to_owned(),
+        ];
+        let dir = store_dir("cluster-non-owner");
+        let cfg = EngineConfig {
+            cluster: Some(ClusterConfig {
+                anti_entropy_interval: Duration::ZERO,
+                ..ClusterConfig::new(me, peers)
+            }),
+            ..store_cfg(&dir)
+        };
+
+        let first = engine(cfg.clone());
+        let cluster = first.cluster().expect("cluster mode");
+        // A request whose key the ring places on the other two nodes.
+        let platform = crate::spec::parse_platform("mesh:2x2").expect("platform");
+        let body = (0..64u64)
+            .map(|seed| {
+                let mut tgff = noc_ctg::prelude::TgffConfig::category_i(seed);
+                tgff.task_count = 6;
+                let graph = noc_ctg::prelude::TgffGenerator::new(tgff)
+                    .generate(&platform)
+                    .expect("generates");
+                let graph = serde_json::to_string(&graph).expect("serializes");
+                format!(
+                    r#"{{"graph":{graph},"platform":"mesh:2x2","scheduler":"edf","mode":"async"}}"#
+                )
+            })
+            .find(|body| {
+                let request: ScheduleRequest = serde_json::from_str(body).expect("parses");
+                !cluster.stores_locally(&crate::hash::content_hash(&request.canonical_key()))
+            })
+            .expect("some key is owned elsewhere");
+        let Submission::Enqueued { id, job } = first.submit(&body) else {
+            panic!("submission must enqueue");
+        };
+        drain(&first);
+        let JobPhase::Done(expected) = job.wait() else {
+            panic!("job must finish");
+        };
+        drop(first);
+
+        let restarted = engine(cfg);
+        assert_eq!(
+            restarted.metrics.journal_replayed.load(Ordering::Relaxed),
+            1
+        );
+        drain(&restarted);
+        assert_eq!(
+            restarted.metrics.schedules_executed.load(Ordering::Relaxed),
+            0,
+            "the non-owner's own disk must hold the recorded job's response"
+        );
+        let JobPhase::Done(done) = restarted.job(&id).expect("job restored").phase() else {
+            panic!("restored job must be done");
+        };
+        assert_eq!(*done.body, *expected.body);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn store_backed_restart_serves_bytes_with_zero_recompute() {
         let dir = store_dir("restart");
-        let cfg = store_cfg(&dir, None);
+        let cfg = store_cfg(&dir);
         let body = request_body(&graph_json());
 
         let first = engine(cfg.clone());
@@ -2020,7 +1963,7 @@ mod tests {
     #[test]
     fn delta_prior_resolves_from_store_after_restart() {
         let dir = store_dir("delta-prior");
-        let cfg = store_cfg(&dir, None);
+        let cfg = store_cfg(&dir);
         let graph = graph_json();
         let prior_body = format!(r#"{{"graph":{graph},"platform":"mesh:2x2","scheduler":"eas"}}"#);
 
@@ -2057,7 +2000,7 @@ mod tests {
         // `store_dir` pointing at a regular file: open must fail, and
         // the engine must keep serving (memory-only) instead of dying.
         std::fs::write(&dir, b"not a directory").expect("writes decoy file");
-        let degraded = engine(store_cfg(&dir, None));
+        let degraded = engine(store_cfg(&dir));
         assert!(degraded.store_degraded());
         let body = request_body(&graph_json());
         let Submission::Enqueued { job, .. } = degraded.submit(&body) else {
@@ -2078,15 +2021,10 @@ mod tests {
     }
 
     #[test]
-    fn journal_compaction_bounds_size_across_restarts() {
-        let dir = store_dir("compact");
-        let journal =
-            std::env::temp_dir().join(format!("noc-engine-journal-{}-compact", std::process::id()));
-        let _ = std::fs::remove_file(&journal);
-        let cfg = store_cfg(&dir, Some(&journal));
+    fn idle_restarts_append_nothing_to_the_store() {
+        let dir = store_dir("idle-restarts");
+        let cfg = store_cfg(&dir);
         let graph = graph_json();
-        // Only async admissions are journaled (the 202 is the promise
-        // the journal exists to keep).
         let body = format!(
             r#"{{"graph":{graph},"platform":"mesh:2x2","scheduler":"edf","mode":"async"}}"#
         );
@@ -2098,34 +2036,31 @@ mod tests {
         drain(&first);
         assert!(matches!(job.wait(), JobPhase::Done(_)));
         drop(first);
-        let after_fill = std::fs::metadata(&journal).expect("journal exists").len();
+        let after_fill = dir_bytes(&dir);
         assert!(
             after_fill > 0,
-            "journal holds accepted + done-stored records"
+            "store holds the accepted record and response"
         );
 
-        // Restart: the response bytes are durable in the store, so
-        // compaction drops the settled records from the journal.
-        let restarted = engine(cfg.clone());
-        assert!(restarted.metrics.journal_compacted.load(Ordering::Relaxed) >= 2);
-        drop(restarted);
-        let after_compact = std::fs::metadata(&journal).expect("journal exists").len();
-        assert!(
-            after_compact < after_fill,
-            "compaction must shrink the journal ({after_compact} vs {after_fill})"
-        );
-
-        // Further idle restarts keep it at the compacted size: the
-        // journal is bounded by live work, not by restart count.
+        // Replay settles the job from the store and writes nothing, so
+        // the directory is bounded by work done, not by restart count.
         for _ in 0..3 {
-            drop(engine(cfg.clone()));
+            let restarted = engine(cfg.clone());
+            assert_eq!(
+                restarted.metrics.journal_replayed.load(Ordering::Relaxed),
+                1
+            );
+            drain(&restarted);
+            assert_eq!(
+                restarted.metrics.schedules_executed.load(Ordering::Relaxed),
+                0
+            );
         }
-        let steady = std::fs::metadata(&journal).expect("journal exists").len();
-        assert!(
-            steady <= after_compact,
-            "idle restarts must not grow the journal"
+        assert_eq!(
+            dir_bytes(&dir),
+            after_fill,
+            "idle restarts must not append to the store"
         );
-        let _ = std::fs::remove_file(&journal);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

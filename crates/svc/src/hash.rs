@@ -107,7 +107,8 @@ fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
 }
 
 /// 64-bit FNV-1a over `bytes` from the standard offset basis — the
-/// record checksum of the crash-safe job journal ([`crate::journal`]).
+/// record checksum of the persistent store's segment log
+/// ([`crate::store`]).
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a(bytes, FNV_OFFSET)

@@ -1,11 +1,9 @@
-//! A minimal HTTP/1.1 layer over `std::net` — just enough protocol for
-//! a loopback JSON service: request parsing with a bounded header/body
-//! size, `Content-Length` bodies, keep-alive, and response writing.
+//! A minimal HTTP/1.1 layer — just enough protocol for a loopback JSON
+//! service: incremental request parsing with a bounded header/body
+//! size, `Content-Length` bodies, keep-alive, and response rendering.
 //! No TLS, no chunked encoding, no multipart — requests that need them
-//! are rejected rather than misparsed.
-
-use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
+//! are rejected rather than misparsed. The reactor ([`crate::net`])
+//! owns the sockets.
 
 /// Largest accepted header block, bytes.
 const MAX_HEADER_BYTES: usize = 64 * 1024;
@@ -87,71 +85,20 @@ impl Response {
     }
 }
 
-/// Why reading a request failed.
+/// Why parsing a request failed.
 #[derive(Debug)]
 pub enum ReadError {
-    /// The peer closed the connection before sending a full request
-    /// (includes a clean close between keep-alive requests) or stalled
-    /// mid-request past the socket timeout.
-    Disconnected,
-    /// The socket read timed out with no bytes received — the
-    /// connection is idle. The caller may poll again (e.g. after
-    /// checking a shutdown flag) or close it.
-    TimedOut,
     /// The bytes were not a parseable HTTP/1.1 request.
     Malformed(String),
     /// The declared body exceeds the server's limit.
     BodyTooLarge(usize),
 }
 
-/// Reads one request from `stream`. `max_body` bounds the accepted
-/// `Content-Length`. `carry` holds bytes received past the previous
-/// request's body (an HTTP/1.1 client may legally pipeline); they are
-/// consumed first, and any bytes past *this* request's body are left in
-/// `carry` for the next call — keep one buffer per connection.
-///
-/// # Errors
-///
-/// [`ReadError::Disconnected`] on EOF/timeout, [`ReadError::Malformed`]
-/// on protocol violations, [`ReadError::BodyTooLarge`] past `max_body`.
-pub fn read_request(
-    stream: &mut TcpStream,
-    max_body: usize,
-    carry: &mut Vec<u8>,
-) -> Result<Request, ReadError> {
-    let mut buf: Vec<u8> = std::mem::take(carry);
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some((request, consumed)) = parse_request(&buf, max_body)? {
-            // Bytes past the declared body are the start of a pipelined
-            // next request — keep them for the next read, never drop them.
-            carry.extend_from_slice(&buf[consumed..]);
-            return Ok(request);
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(ReadError::Disconnected),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                // Idle (nothing received) is pollable; a stall in the
-                // middle of a request is a dead peer.
-                return Err(if buf.is_empty() {
-                    ReadError::TimedOut
-                } else {
-                    ReadError::Disconnected
-                });
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return Err(ReadError::Disconnected),
-        }
-    }
-}
-
 /// Attempts to parse one complete request from the front of `buf`
 /// without consuming it. Returns `Ok(None)` when more bytes are
 /// needed, or `Ok(Some((request, consumed)))` where `consumed` is how
-/// many leading bytes of `buf` the request (head + body) occupied —
-/// the incremental core shared by the blocking [`read_request`] path
-/// and the nonblocking reactor, so both parse the wire identically.
+/// many leading bytes of `buf` the request (head + body) occupied.
+/// Bytes past `consumed` are the start of a pipelined next request.
 ///
 /// # Errors
 ///
@@ -235,23 +182,8 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Writes `response` to `stream` with an exact `Content-Length`.
-///
-/// # Errors
-///
-/// Propagates socket write failures.
-pub fn write_response(
-    stream: &mut TcpStream,
-    response: &Response,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    stream.write_all(&render_response(response, keep_alive))?;
-    stream.flush()
-}
-
-/// Serializes `response` to the exact bytes [`write_response`] puts on
-/// the wire — shared with the reactor so both entry paths emit
-/// byte-identical responses.
+/// Serializes `response` to the exact bytes put on the wire, with an
+/// exact `Content-Length`.
 #[must_use]
 pub fn render_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     let mut head = format!(
@@ -292,25 +224,11 @@ pub fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
 
-    /// Round-trips raw bytes through a real socket pair so the reader is
-    /// tested against the same transport the server uses.
+    /// Parses one whole request from `raw`, as the reactor does once
+    /// the bytes have arrived.
     fn feed(raw: &[u8]) -> Result<Request, ReadError> {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
-        let addr = listener.local_addr().expect("addr");
-        let raw = raw.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).expect("connects");
-            s.write_all(&raw).expect("writes");
-            s
-        });
-        let (mut conn, _) = listener.accept().expect("accepts");
-        conn.set_read_timeout(Some(std::time::Duration::from_millis(500)))
-            .expect("timeout");
-        let result = read_request(&mut conn, 1024 * 1024, &mut Vec::new());
-        drop(writer.join().expect("writer thread"));
-        result
+        parse_request(raw, 1024 * 1024).map(|parsed| parsed.expect("complete request").0)
     }
 
     #[test]
@@ -349,32 +267,23 @@ mod tests {
 
     #[test]
     fn pipelined_requests_are_not_dropped() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
-        let addr = listener.local_addr().expect("addr");
         // Two requests in one segment: the bytes past the first body
-        // must be carried over, not truncated away.
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).expect("connects");
-            s.write_all(
-                b"POST /v1/schedule HTTP/1.1\r\nContent-Length: 5\r\n\r\nfirst\
-                  GET /healthz HTTP/1.1\r\n\r\n"
-                    .as_slice(),
-            )
-            .expect("writes");
-            s
-        });
-        let (mut conn, _) = listener.accept().expect("accepts");
-        conn.set_read_timeout(Some(std::time::Duration::from_millis(500)))
-            .expect("timeout");
-        let mut carry = Vec::new();
-        let first = read_request(&mut conn, 1024, &mut carry).expect("first parses");
+        // are the second request, and parsing them as the carry-over
+        // must recover it whole.
+        let wire = b"POST /v1/schedule HTTP/1.1\r\nContent-Length: 5\r\n\r\nfirst\
+                     GET /healthz HTTP/1.1\r\n\r\n";
+        let (first, consumed) = parse_request(wire, 1024)
+            .expect("first parses")
+            .expect("complete");
         assert_eq!(first.body, b"first");
+        let carry = &wire[consumed..];
         assert!(!carry.is_empty(), "pipelined bytes must be carried");
-        let second = read_request(&mut conn, 1024, &mut carry).expect("second parses");
+        let (second, rest) = parse_request(carry, 1024)
+            .expect("second parses")
+            .expect("complete");
         assert_eq!(second.method, "GET");
         assert_eq!(second.path, "/healthz");
-        assert!(carry.is_empty());
-        drop(writer.join().expect("writer thread"));
+        assert_eq!(rest, carry.len(), "nothing left after the second request");
     }
 
     #[test]
@@ -414,36 +323,21 @@ mod tests {
 
     #[test]
     fn rejects_oversized_bodies() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
-        let addr = listener.local_addr().expect("addr");
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).expect("connects");
-            s.write_all(b"POST / HTTP/1.1\r\nContent-Length: 99\r\n\r\n")
-                .expect("writes");
-            s
-        });
-        let (mut conn, _) = listener.accept().expect("accepts");
-        let result = read_request(&mut conn, 10, &mut Vec::new());
-        assert!(matches!(result, Err(ReadError::BodyTooLarge(99))));
-        drop(writer.join().expect("writer thread"));
+        // The whole oversized body arriving changes nothing: the
+        // declared length alone is rejected.
+        let mut wire = b"POST / HTTP/1.1\r\nContent-Length: 99\r\n\r\n".to_vec();
+        wire.extend_from_slice(&[b'x'; 99]);
+        assert!(matches!(
+            parse_request(&wire, 10),
+            Err(ReadError::BodyTooLarge(99))
+        ));
     }
 
     #[test]
     fn response_writes_exact_content_length() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
-        let addr = listener.local_addr().expect("addr");
-        let reader = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).expect("connects");
-            let mut text = String::new();
-            s.read_to_string(&mut text).expect("reads");
-            text
-        });
-        let (mut conn, _) = listener.accept().expect("accepts");
         let resp =
             Response::json(429, "{\"error\":\"busy\"}".to_owned()).with_header("Retry-After", "1");
-        write_response(&mut conn, &resp, false).expect("writes");
-        drop(conn);
-        let text = reader.join().expect("reader thread");
+        let text = String::from_utf8(render_response(&resp, false)).expect("UTF-8");
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("Content-Length: 16\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"));

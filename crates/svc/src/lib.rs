@@ -12,9 +12,8 @@
 //! answers and whether its bytes came from local compute, the local
 //! store, or a peer. Everything here — canonical request hashing
 //! ([`hash`]), the single response serialization ([`api`]), sorted
-//! metrics rendering ([`metrics`]), the shared wire renderer both the
-//! threaded and reactor ([`net`]) entry paths emit through — exists
-//! to keep that promise.
+//! metrics rendering ([`metrics`]), the one wire renderer the reactor
+//! ([`net`]) emits through — exists to keep that promise.
 //!
 //! No external dependencies beyond the workspace's vendored
 //! `serde`/`serde_json` and the vendored `polling` binding to
@@ -30,7 +29,6 @@ pub mod cluster;
 pub mod engine;
 pub mod hash;
 pub mod http;
-pub mod journal;
 pub mod metrics;
 pub mod net;
 pub mod obs;
@@ -40,4 +38,4 @@ pub mod spec;
 pub mod store;
 
 pub use engine::{Engine, EngineConfig};
-pub use server::{NetMode, Server, ServiceConfig};
+pub use server::{Server, ServiceConfig};

@@ -72,11 +72,9 @@ pub struct Metrics {
     pub delta_prior_hits: AtomicU64,
     /// Scheduler panics caught and isolated to their own job.
     pub worker_panics: AtomicU64,
-    /// Journal records applied during startup crash recovery.
+    /// Job records (accepted and failed async jobs) replayed from the
+    /// schedule store during startup crash recovery.
     pub journal_replayed: AtomicU64,
-    /// Journal records dropped by startup compaction (their response
-    /// bytes are durable in the schedule store).
-    pub journal_compacted: AtomicU64,
     /// Counters of the persistent schedule store, shared with the
     /// store itself; set once when a `--store-dir` is configured. The
     /// whole `noc_svc_store_*` family is omitted from `/metrics` until
@@ -87,8 +85,8 @@ pub struct Metrics {
     /// `noc_svc_cluster_*` family is omitted until then.
     cluster: OnceLock<Arc<ClusterStats>>,
     /// Gauges and counters of the nonblocking reactor, set once when
-    /// the reactor entry path starts; the `noc_svc_reactor_*` family
-    /// is omitted under `--net thread`.
+    /// the server starts; the `noc_svc_reactor_*` family is omitted
+    /// for an engine running without a server.
     reactor: OnceLock<Arc<ReactorStats>>,
     /// Current job-queue depth (gauge, maintained by the engine).
     pub queue_depth: AtomicU64,
@@ -308,14 +306,8 @@ impl Metrics {
         counter(
             &mut out,
             "noc_svc_journal_replayed_total",
-            "Journal records applied during startup crash recovery.",
+            "Job records replayed from the schedule store during startup crash recovery.",
             &self.journal_replayed,
-        );
-        counter(
-            &mut out,
-            "noc_svc_journal_compacted_total",
-            "Journal records dropped by startup compaction (bytes durable in the store).",
-            &self.journal_compacted,
         );
         out.push_str(
             "# HELP noc_svc_log_events_total Structured service-log events, by level.\n\
@@ -663,14 +655,12 @@ mod tests {
         stats.degraded.store(1, Ordering::Relaxed);
         stats.records.store(42, Ordering::Relaxed);
         m.set_store_stats(stats);
-        m.journal_compacted.fetch_add(9, Ordering::Relaxed);
         let text = m.render();
         assert!(text.contains("noc_svc_store_hits_total 3"));
         assert!(text.contains("noc_svc_store_quarantined_total 1"));
         assert!(text.contains("# TYPE noc_svc_store_degraded gauge"));
         assert!(text.contains("noc_svc_store_degraded 1"));
         assert!(text.contains("noc_svc_store_records 42"));
-        assert!(text.contains("noc_svc_journal_compacted_total 9"));
     }
 
     #[test]

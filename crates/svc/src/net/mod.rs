@@ -13,16 +13,13 @@
 //!   buffers and the in-order response slot queue that makes
 //!   pipelining safe: responses are written strictly in request
 //!   order, however out of order the jobs finish.
-//! - **Scheduling work never runs here.** Routing goes through the
-//!   same [`crate::server`] code as the threaded path; a submission
-//!   that needs a worker registers a [`crate::engine::Job::on_finish`]
+//! - **Scheduling work never runs here.** Routing goes through
+//!   [`crate::server`]; a submission that needs a worker registers a [`crate::engine::Job::on_finish`]
 //!   watcher and parks only its *slot*, not a thread. The worker's
 //!   completion is posted to the owning loop's [`Inbox`] and flushed
 //!   on the next wakeup.
 //!
-//! Responses are rendered through the same
-//! [`crate::http::render_response`] bytes as the threaded path — the
-//! entry path is observable only in throughput, never in bytes.
+//! Responses are rendered through [`crate::http::render_response`].
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};

@@ -4,7 +4,7 @@
 //! A request is traced from ingress: the server mints (or accepts
 //! inbound) a fixed-format trace id, allocates a root span, and every
 //! internal hop — peer cache-fill lookups, replication deliveries,
-//! anti-entropy repairs, store and journal writes — records a child
+//! anti-entropy repairs, store writes — records a child
 //! span tagged `(node, span, parent_span, stage, wall_us, outcome)`.
 //! Spans land in a bounded ring buffer (the *flight recorder*) that
 //! `GET /v1/internal/trace/<id>` serves per node; requests slower
@@ -410,13 +410,13 @@ pub fn span_us(started: std::time::Instant) -> u64 {
 /// Service-log severities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogLevel {
-    /// Routine lifecycle events (journal replay, peer recovery).
+    /// Routine lifecycle events (job replay, peer recovery).
     Info,
-    /// Degradations the service absorbed (compaction failure,
-    /// rejected admissions, peers going Down).
+    /// Degradations the service absorbed (rejected admissions, peers
+    /// going Down).
     Warn,
-    /// Lost durability or capability (store quarantine, journal
-    /// append failure).
+    /// Lost durability or capability (store quarantine, a lost job
+    /// record).
     Error,
 }
 

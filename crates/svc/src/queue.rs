@@ -66,7 +66,7 @@ impl<T> JobQueue<T> {
     }
 
     /// Admits `item` even past capacity. Crash-recovery replay uses
-    /// this: a job the journal already acknowledged must never be
+    /// this: a job the store already acknowledged must never be
     /// dropped for backpressure, so startup may transiently overfill
     /// the queue (new submissions still see [`PushError::Full`] until
     /// the backlog drains).

@@ -1,8 +1,7 @@
-//! The HTTP server: request routing shared by both entry paths — the
-//! nonblocking reactor ([`crate::net`], the default) and the
-//! thread-per-connection pool — over one `TcpListener`, dispatching to
-//! the [`Engine`](crate::engine::Engine), with a graceful shutdown
-//! that drains admitted jobs before the process exits.
+//! The HTTP server: request routing for the nonblocking reactor
+//! ([`crate::net`]) over one `TcpListener`, dispatching to the
+//! [`Engine`](crate::engine::Engine), with a graceful shutdown that
+//! drains admitted jobs before the process exits.
 //!
 //! Endpoints:
 //!
@@ -22,7 +21,7 @@
 //! | GET    | `/v1/internal/slow` | The slow-request ring                   |
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -31,39 +30,15 @@ use std::time::{Duration, Instant};
 use crate::api::error_body;
 use crate::cluster::ClusterConfig;
 use crate::engine::{Engine, EngineConfig, Job, JobPhase, Submission};
-use crate::http::{read_request, write_response, ReadError, Request, Response};
+use crate::http::{Request, Response};
 use crate::obs::{span_us, TraceCtx};
-
-/// How the service turns sockets into requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NetMode {
-    /// Nonblocking `poll(2)` reactor: a few event-loop threads
-    /// multiplex every connection, so tens of thousands of idle
-    /// keep-alive clients cost no threads. The default.
-    #[default]
-    Reactor,
-    /// The original thread-per-live-connection pool: each HTTP worker
-    /// owns one connection at a time with blocking reads.
-    Thread,
-}
-
-impl NetMode {
-    /// The mode's CLI spelling, for logs.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            NetMode::Reactor => "reactor",
-            NetMode::Thread => "thread",
-        }
-    }
-}
 
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Bind address, e.g. `127.0.0.1:8533`; port 0 picks a free port.
     pub addr: String,
-    /// Connection (HTTP) worker threads.
+    /// Reactor event-loop threads.
     pub http_workers: usize,
     /// Scheduling worker threads; 0 admits jobs but never runs them
     /// (useful to test queue backpressure deterministically).
@@ -76,21 +51,18 @@ pub struct ServiceConfig {
     pub threads: usize,
     /// Largest accepted request body, bytes.
     pub max_body: usize,
-    /// Per-connection socket read/write timeout.
+    /// Keep-alive idle timeout per connection.
     pub io_timeout: Duration,
     /// Per-request compute budget in wall-clock milliseconds; expired
     /// budgets are answered by the degraded EDF fallback. `None` runs
     /// schedulers to completion.
     pub budget_ms: Option<u64>,
-    /// Path of the crash-safe job journal; `None` disables journaling.
-    pub journal: Option<String>,
     /// Directory of the persistent schedule store; `None` serves from
-    /// the in-memory cache tier only.
+    /// the in-memory cache tier only and keeps async admissions in
+    /// memory.
     pub store_dir: Option<String>,
     /// Segment-rotation threshold for the persistent store, bytes.
     pub store_segment_bytes: u64,
-    /// Entry path: reactor event loops (default) or blocking threads.
-    pub net: NetMode,
     /// Peer service addresses for multi-node mode; empty runs
     /// single-node. The list need not include this node.
     pub peers: Vec<String>,
@@ -128,10 +100,8 @@ impl Default for ServiceConfig {
             max_body: 16 * 1024 * 1024,
             io_timeout: Duration::from_secs(30),
             budget_ms: None,
-            journal: None,
             store_dir: None,
             store_segment_bytes: crate::store::DEFAULT_SEGMENT_BYTES,
-            net: NetMode::default(),
             peers: Vec::new(),
             self_addr: None,
             peer_timeout: Duration::from_secs(1),
@@ -149,9 +119,8 @@ pub struct Server {
     engine: Arc<Engine>,
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    http_handles: Vec<JoinHandle<()>>,
     sched_handles: Vec<JoinHandle<()>>,
-    reactor: Option<crate::net::ReactorHandle>,
+    reactor: crate::net::ReactorHandle,
 }
 
 impl Server {
@@ -182,7 +151,6 @@ impl Server {
             cache_capacity: config.cache_capacity,
             threads: config.threads,
             budget_ms: config.budget_ms,
-            journal: config.journal.clone(),
             store_dir: config.store_dir.clone(),
             store_segment_bytes: config.store_segment_bytes,
             cluster,
@@ -196,7 +164,6 @@ impl Server {
             &format!("listening on {addr}"),
             &[
                 ("addr", &addr.to_string()),
-                ("net", config.net.as_str()),
                 ("peers", &config.peers.len().to_string()),
             ],
         );
@@ -225,56 +192,21 @@ impl Server {
             );
         }
 
-        let mut http_handles = Vec::new();
-        let mut reactor = None;
-        match config.net {
-            NetMode::Reactor => {
-                reactor = Some(crate::net::spawn(
-                    Arc::clone(&engine),
-                    listener,
-                    Arc::clone(&stop),
-                    &crate::net::ReactorOptions {
-                        loops: config.http_workers.max(1),
-                        max_body: config.max_body,
-                        idle_timeout: config.io_timeout,
-                    },
-                )?);
-            }
-            NetMode::Thread => {
-                for i in 0..config.http_workers.max(1) {
-                    let listener = listener.try_clone()?;
-                    let engine = Arc::clone(&engine);
-                    let stop = Arc::clone(&stop);
-                    let max_body = config.max_body;
-                    let io_timeout = config.io_timeout;
-                    http_handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("svc-http-{i}"))
-                            .spawn(move || {
-                                while !stop.load(Ordering::Acquire) {
-                                    match listener.accept() {
-                                        Ok((conn, _)) => {
-                                            if stop.load(Ordering::Acquire) {
-                                                break;
-                                            }
-                                            handle_connection(
-                                                &engine, conn, max_body, io_timeout, &stop,
-                                            );
-                                        }
-                                        Err(_) => break,
-                                    }
-                                }
-                            })?,
-                    );
-                }
-            }
-        }
+        let reactor = crate::net::spawn(
+            Arc::clone(&engine),
+            listener,
+            Arc::clone(&stop),
+            &crate::net::ReactorOptions {
+                loops: config.http_workers.max(1),
+                max_body: config.max_body,
+                idle_timeout: config.io_timeout,
+            },
+        )?;
 
         Ok(Server {
             engine,
             addr,
             stop,
-            http_handles,
             sched_handles,
             reactor,
         })
@@ -294,102 +226,24 @@ impl Server {
 
     /// Graceful shutdown: stop accepting, refuse new submissions, drain
     /// every admitted job, join all workers.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         self.stop.store(true, Ordering::Release);
         self.engine.shutdown();
         // The reactor drains in-flight responses before exiting; the
         // scheduler workers (joined below) keep feeding completions
         // while it does.
-        if let Some(reactor) = self.reactor.take() {
-            reactor.shutdown();
-        }
-        // accept() has no timeout; unblock each HTTP worker with one
-        // dummy connection, which it drops on seeing the stop flag.
-        for _ in 0..self.http_handles.len() {
-            let _ = TcpStream::connect(self.addr);
-        }
-        for h in self.http_handles.drain(..) {
-            let _ = h.join();
-        }
-        for h in self.sched_handles.drain(..) {
+        self.reactor.shutdown();
+        for h in self.sched_handles {
             let _ = h.join();
         }
     }
 
     /// Blocks until every worker exits (i.e. forever, unless another
     /// thread triggers shutdown or the process is signalled).
-    pub fn wait(mut self) {
-        if let Some(reactor) = self.reactor.take() {
-            reactor.wait();
-        }
-        for h in self.http_handles.drain(..) {
+    pub fn wait(self) {
+        self.reactor.wait();
+        for h in self.sched_handles {
             let _ = h.join();
-        }
-        for h in self.sched_handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Socket read granularity: bounds both shutdown latency (the stop
-/// flag is re-checked every poll) and the cost of idle keep-alive
-/// connections.
-const READ_POLL: Duration = Duration::from_millis(250);
-
-fn handle_connection(
-    engine: &Engine,
-    mut conn: TcpStream,
-    max_body: usize,
-    timeout: Duration,
-    stop: &AtomicBool,
-) {
-    let _ = conn.set_read_timeout(Some(READ_POLL.min(timeout)));
-    let _ = conn.set_write_timeout(Some(timeout));
-    let _ = conn.set_nodelay(true);
-    let mut idle_since = std::time::Instant::now();
-    // Bytes a pipelining client sent past the previous request's body.
-    let mut carry: Vec<u8> = Vec::new();
-    loop {
-        let request = match read_request(&mut conn, max_body, &mut carry) {
-            Ok(r) => {
-                idle_since = std::time::Instant::now();
-                r
-            }
-            Err(ReadError::TimedOut) => {
-                // Idle connection: drop it on shutdown or past the
-                // keep-alive timeout, otherwise poll again.
-                if stop.load(Ordering::Acquire) || idle_since.elapsed() >= timeout {
-                    return;
-                }
-                continue;
-            }
-            Err(ReadError::Disconnected) => return,
-            Err(ReadError::Malformed(msg)) => {
-                let resp = Response::json(400, error_body(&format!("malformed request: {msg}")));
-                engine.metrics.record_request("malformed", 400);
-                let _ = write_response(&mut conn, &resp, false);
-                return;
-            }
-            Err(ReadError::BodyTooLarge(n)) => {
-                let resp = Response::json(
-                    413,
-                    error_body(&format!("request body of {n} bytes too large")),
-                );
-                engine.metrics.record_request("malformed", 413);
-                let _ = write_response(&mut conn, &resp, false);
-                return;
-            }
-        };
-        // A back-to-back keep-alive client would otherwise be served
-        // past shutdown indefinitely: once the stop flag is set, answer
-        // the in-flight request with `Connection: close` and hang up.
-        let keep_alive = request.keep_alive() && !stop.load(Ordering::Acquire);
-        let response = route(engine, &request);
-        engine
-            .metrics
-            .record_request(endpoint_label(&request), response.status);
-        if write_response(&mut conn, &response, keep_alive).is_err() || !keep_alive {
-            return;
         }
     }
 }
@@ -417,9 +271,8 @@ pub(crate) fn endpoint_label(request: &Request) -> &'static str {
 /// submission parked on a scheduler job whose terminal phase produces
 /// the response (via [`complete`]).
 ///
-/// Splitting routing this way is what lets the threaded path block
-/// (`job.wait()`) while the reactor parks only a response slot — both
-/// flow through the same code and emit the same bytes.
+/// Splitting routing this way is what lets the reactor park only a
+/// response slot, never a thread, while a job runs.
 pub(crate) enum Routed {
     /// The response is ready now.
     Ready(Response),
@@ -462,7 +315,7 @@ fn untraced_endpoint(endpoint: &str) -> bool {
 }
 
 /// Routes a request to a [`Routed`] outcome without ever blocking on
-/// scheduler work. Both entry paths call this.
+/// scheduler work.
 ///
 /// This is also the tracing ingress: a [`TraceCtx`] is built from the
 /// inbound `X-Noc-Trace`/`X-Noc-Span` headers (or freshly minted),
@@ -508,9 +361,8 @@ pub(crate) fn respond(engine: &Engine, request: &Request) -> Routed {
     }
 }
 
-/// Builds the terminal response for a pending submission. Shared by
-/// the threaded path (after `job.wait()`) and the reactor (inside the
-/// job's finish watcher).
+/// Builds the terminal response for a pending submission, inside the
+/// job's finish watcher.
 pub(crate) fn complete(
     engine: &Engine,
     id: &str,
@@ -559,20 +411,6 @@ fn response_outcome(resp: &Response) -> &'static str {
         429 => "rejected",
         300..=499 => "bad-request",
         _ => "error",
-    }
-}
-
-fn route(engine: &Engine, request: &Request) -> Response {
-    match respond(engine, request) {
-        Routed::Ready(response) => response,
-        Routed::Pending(p) => complete(
-            engine,
-            &p.id,
-            &p.job.wait(),
-            p.cache_label,
-            p.wants_stats,
-            &p.finish,
-        ),
     }
 }
 

@@ -3,13 +3,18 @@
 //! When a segment rotates (or a sealed segment is re-scanned on open),
 //! the store writes `seg-NNNNNNNN.idx` beside the log: a flat sorted
 //! array of fixed-width entries mapping key-hash lanes to the record's
-//! frame offset and length, so the next open locates every record with
-//! one small read instead of scanning megabytes of log.
+//! frame offset, length and kind, so the next open locates every
+//! response record — and every job record of the backlog — with one
+//! small read instead of scanning megabytes of log.
 //!
 //! ```text
-//! file  := [magic "NOCSIDX1"][u64 LE entry count][entry …][u64 LE FNV-1a of everything before]
+//! file  := [magic "NOCSIDX2"][u64 LE entry count][entry …][u64 LE FNV-1a of everything before]
 //! entry := [u64 LE key lane a][u64 LE key lane b][u64 LE frame offset][u32 LE frame length]
+//!          [u8 kind]   // the frame's kind bits: 0 response, 4 accepted job, 8 failed job
 //! ```
+//!
+//! Version-1 indexes (`NOCSIDX1`, no kind byte) fail the magic check
+//! and are rebuilt from the log like any other unusable index.
 //!
 //! The index is **only a cache**: it is written atomically (temp file +
 //! rename), verified whole-file by checksum on load, and on any
@@ -21,10 +26,11 @@ use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
+use super::segment::{KIND_ACCEPTED, KIND_FAILED, KIND_RESPONSE};
 use crate::hash::fnv1a64;
 
-const MAGIC: &[u8; 8] = b"NOCSIDX1";
-const ENTRY_BYTES: usize = 8 + 8 + 8 + 4;
+const MAGIC: &[u8; 8] = b"NOCSIDX2";
+const ENTRY_BYTES: usize = 8 + 8 + 8 + 4 + 1;
 
 /// One index entry: where a key's record lives in the segment log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,6 +41,8 @@ pub(crate) struct IndexEntry {
     pub offset: u64,
     /// Whole-frame length (header + payload).
     pub len: u32,
+    /// The frame's kind bits (see [`super::segment`]).
+    pub kind: u8,
 }
 
 fn sibling_tmp(path: &Path) -> PathBuf {
@@ -64,6 +72,7 @@ pub(crate) fn write_index(path: &Path, entries: &[IndexEntry]) -> io::Result<()>
         bytes.extend_from_slice(&e.lanes.1.to_le_bytes());
         bytes.extend_from_slice(&e.offset.to_le_bytes());
         bytes.extend_from_slice(&e.len.to_le_bytes());
+        bytes.push(e.kind);
     }
     bytes.extend_from_slice(&fnv1a64(&bytes).to_le_bytes());
 
@@ -103,7 +112,11 @@ pub(crate) fn load_index(path: &Path, log_len: u64) -> Option<Vec<IndexEntry>> {
             ),
             offset: u64::from_le_bytes(bytes[at + 16..at + 24].try_into().ok()?),
             len: u32::from_le_bytes(bytes[at + 24..at + 28].try_into().ok()?),
+            kind: bytes[at + 28],
         };
+        if ![KIND_RESPONSE, KIND_ACCEPTED, KIND_FAILED].contains(&e.kind) {
+            return None;
+        }
         if e.offset.checked_add(u64::from(e.len))? > log_len {
             return None; // stale index outlives a truncated log: rescan
         }
@@ -139,11 +152,13 @@ mod tests {
                 lanes: (7, 9),
                 offset: 120,
                 len: 40,
+                kind: KIND_ACCEPTED,
             },
             IndexEntry {
                 lanes: (1, 2),
                 offset: 0,
                 len: 120,
+                kind: KIND_RESPONSE,
             },
         ]
     }
@@ -156,6 +171,7 @@ mod tests {
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded[0].lanes, (1, 2), "sorted by lanes");
         assert_eq!(loaded[1].offset, 120);
+        assert_eq!(loaded[1].kind, KIND_ACCEPTED, "kinds round-trip");
     }
 
     #[test]
@@ -167,6 +183,16 @@ mod tests {
         bytes[mid] ^= 0x01;
         fs::write(&tmp.0, &bytes).expect("writes");
         assert!(load_index(&tmp.0, 160).is_none(), "checksum must reject");
+
+        // A version-1 index: valid checksum, old magic, no kind bytes.
+        write_index(&tmp.0, &sample()).expect("writes");
+        let mut bytes = fs::read(&tmp.0).expect("reads");
+        bytes[..8].copy_from_slice(b"NOCSIDX1");
+        let body_len = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[..body_len]).to_le_bytes();
+        bytes[body_len..].copy_from_slice(&sum);
+        fs::write(&tmp.0, &bytes).expect("writes");
+        assert!(load_index(&tmp.0, 160).is_none(), "old magic means rescan");
 
         fs::write(&tmp.0, b"NO").expect("writes");
         assert!(load_index(&tmp.0, 160).is_none(), "short file rejected");

@@ -14,6 +14,12 @@
 //! layout all resolve previously-served requests to byte-identical
 //! responses without recomputing.
 //!
+//! The same log is the service's only durable record of async work:
+//! [`JobRecord`]s (an accepted submission, or its terminal failure)
+//! are appended beside the responses, kept out of the response index,
+//! and handed back in log order by [`Store::open_with_backlog`] so the
+//! engine can finish what it admitted before a crash.
+//!
 //! # Robustness contract
 //!
 //! The store may *lose* records (crash before the write, quarantined
@@ -53,6 +59,7 @@ pub use fault::{FaultPlan, IoFault};
 use crate::cache::{JobOutput, ScheduleCache};
 use crate::hash::hash_lanes;
 use index::IndexEntry;
+use segment::{Frame, KIND_ACCEPTED, KIND_FAILED, KIND_RESPONSE};
 
 /// Default segment rotation threshold: 8 MiB of records.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
@@ -107,6 +114,48 @@ pub struct StoreStats {
     pub segments: AtomicU64,
 }
 
+/// A durable record of async work, kept in the segment log beside the
+/// responses. A job id is the content hash of the job's canonical
+/// request, so the response record for that request is the job's
+/// completion record; only admission and terminal failure need their
+/// own kinds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JobRecord {
+    /// An async submission was admitted; `body` is the original request
+    /// body, so a restart can re-resolve and re-run the job.
+    Accepted {
+        /// Content-hash job id.
+        id: String,
+        /// The original request body.
+        body: String,
+    },
+    /// The job failed terminally.
+    Failed {
+        /// Content-hash job id.
+        id: String,
+        /// The failure message.
+        error: String,
+    },
+}
+
+impl JobRecord {
+    /// The job id this record belongs to.
+    #[must_use]
+    pub fn id(&self) -> &str {
+        match self {
+            JobRecord::Accepted { id, .. } | JobRecord::Failed { id, .. } => id,
+        }
+    }
+
+    /// The record's kind bits in the frame flags and index entries.
+    fn kind(&self) -> u8 {
+        match self {
+            JobRecord::Accepted { .. } => KIND_ACCEPTED,
+            JobRecord::Failed { .. } => KIND_FAILED,
+        }
+    }
+}
+
 /// Where one record lives on disk.
 #[derive(Debug, Clone, Copy)]
 struct Loc {
@@ -116,8 +165,9 @@ struct Loc {
 }
 
 struct Inner {
-    /// Key lanes (128-bit) to record location; collisions are resolved
-    /// by comparing the stored full key on read.
+    /// Key lanes (128-bit) to response-record location; collisions are
+    /// resolved by comparing the stored full key on read. Job records
+    /// never enter it.
     index: HashMap<u128, Loc>,
     /// Read handles, one per segment file.
     readers: HashMap<u64, File>,
@@ -156,6 +206,19 @@ fn idx_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("seg-{seq:08}.idx"))
 }
 
+/// Adds a segment's response entries to the lookup index; job entries
+/// stay out of it.
+fn index_responses(index: &mut HashMap<u128, Loc>, seq: u64, entries: &[IndexEntry]) {
+    for e in entries.iter().filter(|e| e.kind == KIND_RESPONSE) {
+        let loc = Loc {
+            seq,
+            offset: e.offset,
+            len: e.len,
+        };
+        index.insert(lane_key(e.lanes), loc);
+    }
+}
+
 fn parse_seq(name: &str) -> Option<u64> {
     name.strip_prefix("seg-")?
         .strip_suffix(".log")?
@@ -177,6 +240,21 @@ impl Store {
     ///
     /// Propagates filesystem failures (create, open, read, truncate).
     pub fn open(config: StoreConfig, stats: Arc<StoreStats>) -> io::Result<Store> {
+        Store::open_with_backlog(config, stats).map(|(store, _)| store)
+    }
+
+    /// [`Store::open`], also returning the job records in log order —
+    /// the backlog of async work a restart must settle. Sealed segments
+    /// whose index verifies are not rescanned: the index kinds locate
+    /// their job records, which are read back one frame each.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem failures (create, open, read, truncate).
+    pub fn open_with_backlog(
+        config: StoreConfig,
+        stats: Arc<StoreStats>,
+    ) -> io::Result<(Store, Vec<JobRecord>)> {
         fs::create_dir_all(&config.dir)?;
         let mut seqs: Vec<u64> = fs::read_dir(&config.dir)?
             .filter_map(|entry| parse_seq(entry.ok()?.file_name().to_str()?))
@@ -185,14 +263,34 @@ impl Store {
 
         let mut index = HashMap::new();
         let mut readers = HashMap::new();
+        let mut backlog = Vec::new();
         let (&active_seq, sealed) = seqs.split_last().unwrap_or((&1, &[]));
 
         for &seq in sealed {
             let log = seg_path(&config.dir, seq);
             let log_len = fs::metadata(&log)?.len();
+            let mut reader = File::open(&log)?;
             let idx = idx_path(&config.dir, seq);
             let entries = match index::load_index(&idx, log_len) {
-                Some(entries) => entries,
+                Some(entries) => {
+                    let mut jobs: Vec<&IndexEntry> =
+                        entries.iter().filter(|e| e.kind != KIND_RESPONSE).collect();
+                    jobs.sort_by_key(|e| e.offset);
+                    for e in jobs {
+                        let loc = Loc {
+                            seq,
+                            offset: e.offset,
+                            len: e.len,
+                        };
+                        match segment::decode_frame(&read_frame(&mut reader, loc, None)?) {
+                            Some(Frame::Job(job)) => backlog.push(job),
+                            _ => {
+                                stats.quarantined.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    }
+                    entries
+                }
                 None => {
                     let scan = segment::scan(&fs::read(&log)?);
                     if scan.valid_len < log_len {
@@ -200,32 +298,15 @@ impl Store {
                         // the corrupt region in place.
                         stats.quarantined.fetch_add(1, Ordering::Relaxed);
                     }
-                    let entries: Vec<IndexEntry> = scan
-                        .records
-                        .iter()
-                        .map(|r| IndexEntry {
-                            lanes: r.lanes,
-                            offset: r.offset,
-                            len: r.len,
-                        })
-                        .collect();
                     // The index is only a cache; failing to rebuild it
                     // costs the next open a scan, nothing more.
-                    let _ = index::write_index(&idx, &entries);
-                    entries
+                    let _ = index::write_index(&idx, &scan.records);
+                    backlog.extend(scan.jobs);
+                    scan.records
                 }
             };
-            for e in entries {
-                index.insert(
-                    lane_key(e.lanes),
-                    Loc {
-                        seq,
-                        offset: e.offset,
-                        len: e.len,
-                    },
-                );
-            }
-            readers.insert(seq, File::open(&log)?);
+            index_responses(&mut index, seq, &entries);
+            readers.insert(seq, reader);
         }
 
         let log = seg_path(&config.dir, active_seq);
@@ -238,22 +319,8 @@ impl Store {
         let mut bytes = Vec::new();
         active.read_to_end(&mut bytes)?;
         let scan = segment::scan(&bytes);
-        let mut active_entries = Vec::with_capacity(scan.records.len());
-        for r in &scan.records {
-            index.insert(
-                lane_key(r.lanes),
-                Loc {
-                    seq: active_seq,
-                    offset: r.offset,
-                    len: r.len,
-                },
-            );
-            active_entries.push(IndexEntry {
-                lanes: r.lanes,
-                offset: r.offset,
-                len: r.len,
-            });
-        }
+        index_responses(&mut index, active_seq, &scan.records);
+        backlog.extend(scan.jobs);
         if scan.valid_len < bytes.len() as u64 {
             active.set_len(scan.valid_len)?;
             stats.torn_tails.fetch_add(1, Ordering::Relaxed);
@@ -265,7 +332,7 @@ impl Store {
         stats
             .segments
             .store(readers.len() as u64, Ordering::Relaxed);
-        Ok(Store {
+        let store = Store {
             dir: config.dir,
             segment_max_bytes: config.segment_max_bytes,
             faults: config.faults,
@@ -278,9 +345,10 @@ impl Store {
                 active,
                 active_seq,
                 active_len: scan.valid_len,
-                active_entries,
+                active_entries: scan.records,
             }),
-        })
+        };
+        Ok((store, backlog))
     }
 
     /// `true` once any disk failure has tripped memory-only mode.
@@ -316,18 +384,18 @@ impl Store {
             }
         };
         match segment::decode_frame(&frame) {
-            Some((stored_key, output)) if stored_key == key => {
+            Some(Frame::Response(stored_key, output)) if stored_key == key => {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 Some(output)
             }
-            Some(_) => {
+            Some(Frame::Response(..)) => {
                 // 128-bit lane collision: the record is valid but for a
                 // different key. Treat as a miss; a write-through of
                 // this key will re-point the lane slot.
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
-            None => {
+            Some(Frame::Job(_)) | None => {
                 inner.index.remove(&lane_key(lanes));
                 self.stats
                     .records
@@ -357,32 +425,73 @@ impl Store {
         if inner.index.contains_key(&lane_key(lanes)) {
             return true;
         }
-        if inner.active_len > 0 && inner.active_len + frame.len() as u64 > self.segment_max_bytes {
-            if let Err(err) = self.rotate(&mut inner) {
+        match self.append(&mut inner, &frame, lanes, KIND_RESPONSE) {
+            Ok(loc) => {
+                inner.index.insert(lane_key(lanes), loc);
+                self.stats
+                    .records
+                    .store(inner.index.len() as u64, Ordering::Relaxed);
+                true
+            }
+            Err(err) => {
                 drop(inner);
-                self.degrade(&format!("segment rotation failed: {err}"));
-                return false;
+                self.degrade(&err);
+                false
             }
         }
-        if let Err(err) = self.append_frame(&mut inner.active, &frame) {
-            drop(inner);
-            self.degrade(&format!("record append failed: {err}"));
+    }
+
+    /// Appends one job record to the active segment. Job records are
+    /// never deduplicated, indexed for lookup, served or listed; they
+    /// come back only as the backlog of the next
+    /// [`Store::open_with_backlog`]. Returns `false` when the write was
+    /// lost (degraded before or during).
+    pub fn put_job(&self, job: &JobRecord) -> bool {
+        if self.is_degraded() {
             return false;
         }
+        let frame = segment::encode_job(job);
+        let mut inner = self.inner.lock().expect("store lock");
+        let lanes = hash_lanes(job.id().as_bytes());
+        match self.append(&mut inner, &frame, lanes, job.kind()) {
+            Ok(_) => true,
+            Err(err) => {
+                drop(inner);
+                self.degrade(&err);
+                false
+            }
+        }
+    }
+
+    /// Appends one whole frame to the active segment, rotating first
+    /// when it would overflow, and records its index entry.
+    fn append(
+        &self,
+        inner: &mut Inner,
+        frame: &[u8],
+        lanes: (u64, u64),
+        kind: u8,
+    ) -> Result<Loc, String> {
+        if inner.active_len > 0 && inner.active_len + frame.len() as u64 > self.segment_max_bytes {
+            self.rotate(inner)
+                .map_err(|err| format!("segment rotation failed: {err}"))?;
+        }
+        self.append_frame(&mut inner.active, frame)
+            .map_err(|err| format!("record append failed: {err}"))?;
         let len = u32::try_from(frame.len()).expect("frame fits u32");
         let offset = inner.active_len;
-        inner.active_entries.push(IndexEntry { lanes, offset, len });
-        let loc = Loc {
+        inner.active_entries.push(IndexEntry {
+            lanes,
+            offset,
+            len,
+            kind,
+        });
+        inner.active_len += u64::from(len);
+        Ok(Loc {
             seq: inner.active_seq,
             offset,
             len,
-        };
-        inner.active_len += frame.len() as u64;
-        inner.index.insert(lane_key(lanes), loc);
-        self.stats
-            .records
-            .store(inner.index.len() as u64, Ordering::Relaxed);
-        true
+        })
     }
 
     /// Looks a record up by its content-hash lanes — the index key
@@ -416,11 +525,11 @@ impl Store {
             }
         };
         match segment::decode_frame(&frame) {
-            Some((stored_key, output)) => {
+            Some(Frame::Response(stored_key, output)) => {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 Some((stored_key, output))
             }
-            None => {
+            Some(Frame::Job(_)) | None => {
                 inner.index.remove(&lane_key(lanes));
                 self.stats
                     .records
@@ -431,20 +540,6 @@ impl Store {
                 None
             }
         }
-    }
-
-    /// `true` when `key` is indexed and the disk tier is in service.
-    /// This checks the index, not the bytes — journal compaction uses
-    /// [`Store::get`] instead when it needs verified durability.
-    #[must_use]
-    pub fn contains(&self, key: &str) -> bool {
-        !self.is_degraded()
-            && self
-                .inner
-                .lock()
-                .expect("store lock")
-                .index
-                .contains_key(&lane_key(hash_lanes(key.as_bytes())))
     }
 
     /// The content-hash lanes of every indexed record — the raw
@@ -621,8 +716,7 @@ impl TieredStore {
     }
 
     /// Write-through insert. Returns `true` when the bytes are durable
-    /// on the disk tier (journal compaction then no longer needs to
-    /// carry them).
+    /// on the disk tier.
     pub fn insert(&self, key: &str, output: &JobOutput) -> bool {
         self.insert_tiered(key, output, true)
     }
@@ -920,6 +1014,135 @@ mod tests {
             "no disk tier without configuration"
         );
         assert!(!TieredStore::memory_only(4).degraded());
+    }
+
+    fn job(i: usize) -> JobRecord {
+        let id = crate::hash::content_hash(&format!("job-{i}"));
+        if i % 3 == 2 {
+            JobRecord::Failed {
+                id,
+                error: format!("error {i}"),
+            }
+        } else {
+            JobRecord::Accepted {
+                id,
+                body: format!("{{\"request\":{i}}}"),
+            }
+        }
+    }
+
+    #[test]
+    fn job_records_replay_in_log_order_and_never_serve() {
+        let tmp = TempDir::new("jobs");
+        let (store, backlog) =
+            Store::open_with_backlog(tmp.config(), Arc::new(StoreStats::default())).expect("opens");
+        assert!(backlog.is_empty());
+        let big = "z".repeat(900);
+        let mut jobs = Vec::new();
+        for i in 0..12 {
+            assert!(store.put_job(&job(i)));
+            jobs.push(job(i));
+            store.put(&format!("key-{i}"), &output(&big));
+        }
+        assert_eq!(store.len(), 12, "job records are not indexed responses");
+        drop(store);
+
+        // Sealed segments answer from their packed index: corrupting a
+        // response byte in one is not noticed at open (no rescan), and
+        // its job records are still read back, in log order.
+        let sealed = seg_path(&tmp.0, 1);
+        assert!(idx_path(&tmp.0, 1).exists(), "rotation sealed segment 1");
+        let mut bytes = fs::read(&sealed).expect("reads");
+        let body_at = bytes
+            .windows(8)
+            .position(|w| w == b"zzzzzzzz")
+            .expect("a response body");
+        bytes[body_at] ^= 0xff;
+        fs::write(&sealed, &bytes).expect("writes");
+
+        let stats = Arc::new(StoreStats::default());
+        let (store, backlog) =
+            Store::open_with_backlog(tmp.config(), stats.clone()).expect("reopens");
+        assert_eq!(
+            backlog, jobs,
+            "the backlog is every job record in log order"
+        );
+        assert_eq!(
+            stats.quarantined.load(Ordering::Relaxed),
+            0,
+            "a segment whose index verifies is not rescanned"
+        );
+        for j in &jobs {
+            assert!(store.get(j.id()).is_none(), "job records never serve");
+        }
+        assert_eq!(
+            store.indexed_lanes().len(),
+            12,
+            "digest lists responses only"
+        );
+        drop(store);
+
+        // A job record that rots inside an indexed sealed segment is
+        // quarantined when it is read back, never replayed.
+        let mut bytes = fs::read(&sealed).expect("reads");
+        let job_at = bytes
+            .windows(11)
+            .position(|w| w == br#"{"request":"#)
+            .expect("a job body");
+        bytes[job_at] ^= 0xff;
+        fs::write(&sealed, &bytes).expect("writes");
+        let stats = Arc::new(StoreStats::default());
+        let (_, backlog) = Store::open_with_backlog(tmp.config(), stats.clone()).expect("reopens");
+        assert_eq!(backlog, jobs[1..], "the rotten record alone is dropped");
+        assert_eq!(stats.quarantined.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn version_one_store_opens_and_serves_byte_identically() {
+        // A store written before job records existed: four sealed
+        // segments indexed as `NOCSIDX1` and an active fifth one.
+        let tmp = TempDir::new("v1");
+        fs::create_dir_all(&tmp.0).expect("creates");
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/store_v1");
+        for entry in fs::read_dir(&fixture).expect("fixture lists") {
+            let path = entry.expect("entry").path();
+            fs::copy(&path, tmp.0.join(path.file_name().expect("name"))).expect("copies");
+        }
+        let before: Vec<Vec<u8>> = (1..=5)
+            .map(|seq| fs::read(seg_path(&tmp.0, seq)).expect("reads"))
+            .collect();
+        let (store, backlog) =
+            Store::open_with_backlog(tmp.config(), Arc::new(StoreStats::default())).expect("opens");
+        assert!(backlog.is_empty());
+        assert_eq!(store.len(), 12);
+        for i in 0..12u32 {
+            let key = format!(
+                "{{\"graph\":{{\"seed\":{i}}},\"platform\":\"mesh:2x2\",\"scheduler\":\"eas\"}}"
+            );
+            let body = format!(
+                "{{\"scheduler\":\"eas\",\"makespan\":{},\"schedule\":\"{}\"}}",
+                i * 7 + 1,
+                "x".repeat(150 + 10 * i as usize)
+            );
+            let hit = store.get(&key).expect("every record serves");
+            assert_eq!(hit.body.as_str(), body);
+            assert_eq!(hit.degraded, i % 3 == 1);
+            let stats = format!("{{\"stage_micros\":{{\"level\":{i}}}}}");
+            assert_eq!(
+                hit.stats.as_deref().map(String::as_str),
+                (i % 4 == 2).then_some(stats.as_str())
+            );
+        }
+        drop(store);
+        for (seq, bytes) in (1..=5).zip(&before) {
+            assert_eq!(
+                &fs::read(seg_path(&tmp.0, seq)).expect("reads"),
+                bytes,
+                "opening never rewrites a segment log"
+            );
+        }
+        let idx = fs::read(idx_path(&tmp.0, 1)).expect("index rebuilt");
+        assert_eq!(&idx[..8], b"NOCSIDX2", "old indexes are rebuilt");
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! End-to-end tests of the nonblocking reactor entry path against
-//! real sockets: wire-level byte identity with the threaded path,
-//! HTTP/1.1 keep-alive and pipelining, protocol-error handling, and a
-//! herd of idle connections that must cost nothing and lose nothing.
+//! real sockets: wire-level byte identity with golden transcripts of
+//! the retired thread-per-connection path, HTTP/1.1 keep-alive and
+//! pipelining, protocol-error handling, stalled and torn requests, and
+//! a herd of idle connections that must cost nothing and lose nothing.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
-use noc_svc::{NetMode, Server, ServiceConfig};
+use noc_svc::{Server, ServiceConfig};
 
-fn config(net: NetMode) -> ServiceConfig {
+fn config() -> ServiceConfig {
     ServiceConfig {
         addr: "127.0.0.1:0".to_owned(),
         http_workers: 2,
@@ -17,7 +19,6 @@ fn config(net: NetMode) -> ServiceConfig {
         queue_capacity: 8,
         cache_capacity: 64,
         threads: 1,
-        net,
         ..ServiceConfig::default()
     }
 }
@@ -74,6 +75,26 @@ fn read_one_response(stream: &mut TcpStream, carry: &mut Vec<u8>) -> Vec<u8> {
     response
 }
 
+/// The response with its per-request `X-Noc-Trace` header removed —
+/// the one line two runs may legitimately differ in.
+fn strip_trace(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes)
+        .split("\r\n")
+        .filter(|l| !l.starts_with("X-Noc-Trace: "))
+        .collect::<Vec<_>>()
+        .join("\r\n")
+}
+
+/// The golden wire transcript `name`: a response (trace header
+/// stripped) recorded from the thread-per-connection entry path this
+/// reactor replaced, for the same request on a fresh server.
+fn golden(name: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/wire")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
 /// One request/response round trip on a fresh raw socket.
 fn raw_roundtrip(addr: SocketAddr, request: &[u8]) -> Vec<u8> {
     let mut stream = TcpStream::connect(addr).expect("connects");
@@ -87,10 +108,9 @@ fn raw_roundtrip(addr: SocketAddr, request: &[u8]) -> Vec<u8> {
 
 #[test]
 fn reactor_and_threaded_paths_answer_identical_wire_bytes() {
-    let reactor = Server::start(config(NetMode::Reactor)).expect("reactor starts");
-    let threaded = Server::start(config(NetMode::Thread)).expect("threaded starts");
+    let reactor = Server::start(config()).expect("reactor starts");
     let graph = graph_json(71, 10);
-    let requests = vec![
+    let requests = [
         post_bytes("/v1/schedule", &schedule_body(&graph, "edf")),
         post_bytes("/v1/schedule", &schedule_body(&graph, "edf")), // cache hit
         post_bytes("/v1/schedule", &schedule_body(&graph, "dls")),
@@ -100,32 +120,21 @@ fn reactor_and_threaded_paths_answer_identical_wire_bytes() {
         b"DELETE /v1/schedule HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n".to_vec(),
         b"GET /nowhere HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n".to_vec(),
     ];
-    // The X-Noc-Trace header is minted per request, so it is the one
-    // wire difference two servers may legitimately show; everything
-    // else — status line, headers, body — must match byte for byte.
-    let strip_trace = |bytes: &[u8]| {
-        String::from_utf8_lossy(bytes)
-            .lines()
-            .filter(|l| !l.starts_with("X-Noc-Trace: "))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    for request in &requests {
-        let via_reactor = raw_roundtrip(reactor.addr(), request);
-        let via_threads = raw_roundtrip(threaded.addr(), request);
+    // Status line, headers and body must match the recorded thread-path
+    // transcript byte for byte.
+    for (i, request) in requests.iter().enumerate() {
         assert_eq!(
-            strip_trace(&via_reactor),
-            strip_trace(&via_threads),
-            "entry paths must be indistinguishable on the wire"
+            strip_trace(&raw_roundtrip(reactor.addr(), request)),
+            golden(&format!("{i:02}.http")),
+            "request {i} must answer the recorded wire bytes"
         );
     }
     reactor.shutdown();
-    threaded.shutdown();
 }
 
 #[test]
 fn pipelined_requests_answer_in_request_order() {
-    let server = Server::start(config(NetMode::Reactor)).expect("starts");
+    let server = Server::start(config()).expect("starts");
     // Three schedule requests with distinct answers, written
     // back-to-back before reading anything: responses must come back
     // in request order even though the jobs may finish out of order.
@@ -173,7 +182,7 @@ fn pipelined_requests_answer_in_request_order() {
 
 #[test]
 fn keep_alive_serves_many_requests_then_close_closes() {
-    let server = Server::start(config(NetMode::Reactor)).expect("starts");
+    let server = Server::start(config()).expect("starts");
     let mut stream = TcpStream::connect(server.addr()).expect("connects");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
@@ -204,22 +213,19 @@ fn keep_alive_serves_many_requests_then_close_closes() {
 
 #[test]
 fn protocol_errors_answer_and_close_like_the_threaded_path() {
-    let reactor = Server::start(config(NetMode::Reactor)).expect("starts");
-    let threaded = Server::start(config(NetMode::Thread)).expect("starts");
+    let reactor = Server::start(config()).expect("starts");
     let oversized = format!(
         "POST /v1/schedule HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
         64 * 1024 * 1024
     );
     let garbage = b"NOT A REQUEST AT ALL\r\n\r\n".to_vec();
-    for request in [oversized.into_bytes(), garbage] {
-        let via_reactor = raw_roundtrip(reactor.addr(), &request);
-        let via_threads = raw_roundtrip(threaded.addr(), &request);
+    for (request, name) in [(oversized.into_bytes(), "08.http"), (garbage, "09.http")] {
+        let text = String::from_utf8_lossy(&raw_roundtrip(reactor.addr(), &request)).into_owned();
         assert_eq!(
-            String::from_utf8_lossy(&via_reactor),
-            String::from_utf8_lossy(&via_threads),
-            "protocol errors must be byte-identical across entry paths"
+            text,
+            golden(name),
+            "protocol errors must answer the recorded wire bytes"
         );
-        let text = String::from_utf8_lossy(&via_reactor).into_owned();
         assert!(
             text.starts_with("HTTP/1.1 413") || text.starts_with("HTTP/1.1 400"),
             "got {text}"
@@ -227,12 +233,52 @@ fn protocol_errors_answer_and_close_like_the_threaded_path() {
         assert!(text.contains("Connection: close"));
     }
     reactor.shutdown();
-    threaded.shutdown();
+}
+
+#[test]
+fn stalled_and_torn_requests_close_without_an_answer() {
+    let server = Server::start(ServiceConfig {
+        io_timeout: Duration::from_millis(300),
+        ..config()
+    })
+    .expect("starts");
+    let partial = b"POST /v1/schedule HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nfi";
+
+    // A peer that stalls mid-request is hung up on at the idle
+    // timeout, and is never answered for the bytes it did send.
+    let mut stalled = TcpStream::connect(server.addr()).expect("connects");
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("timeout");
+    stalled.write_all(partial).expect("writes");
+    let started = Instant::now();
+    let mut rest = Vec::new();
+    match stalled.read_to_end(&mut rest) {
+        Ok(_) => {}
+        Err(e) => assert_eq!(e.kind(), ErrorKind::ConnectionReset, "got {e}"),
+    }
+    assert!(rest.is_empty(), "a stalled request must not be answered");
+    assert!(
+        started.elapsed() < Duration::from_secs(15),
+        "the idle sweep must close the stalled connection"
+    );
+
+    // A peer that hangs up mid-request costs nothing: the next
+    // connection is served normally.
+    let mut torn = TcpStream::connect(server.addr()).expect("connects");
+    torn.write_all(partial).expect("writes");
+    drop(torn);
+    let health = raw_roundtrip(
+        server.addr(),
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n",
+    );
+    assert!(String::from_utf8_lossy(&health).starts_with("HTTP/1.1 200"));
+    server.shutdown();
 }
 
 #[test]
 fn a_herd_of_idle_connections_survives_a_working_wave() {
-    let server = Server::start(config(NetMode::Reactor)).expect("starts");
+    let server = Server::start(config()).expect("starts");
     // A few hundred idle sockets (the CI-sized stand-in for the 10k
     // loopback gate, which needs a raised fd limit) parked while real
     // requests flow.
