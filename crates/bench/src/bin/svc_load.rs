@@ -1617,7 +1617,7 @@ fn run_chaos(addr: SocketAddr, seed: u64, jobs: usize, timeout: Duration, state_
             .generate(&platform)
             .expect("graph generates");
         let graph_json = serde_json::to_string(&graph).expect("serializes");
-        let expected = match noc_svc::spec::parse_scheduler(scheduler, 1) {
+        let expected = match noc_svc::spec::parse_scheduler(scheduler) {
             Ok(s) => match s.schedule(&graph, &platform) {
                 Ok(outcome) => {
                     noc_svc::api::ScheduleResponse::from_outcome(scheduler, &outcome).to_json()
@@ -1934,14 +1934,13 @@ fn delta_problem(
 
     // The expected bytes, computed locally: schedules are
     // byte-deterministic, so the server must reproduce them exactly.
-    let prior = noc_svc::spec::parse_scheduler("eas", 1)
+    let prior = noc_svc::spec::parse_scheduler("eas")
         .expect("eas parses")
         .schedule(&graph, platform)
         .expect("prior schedules");
     let applied = apply_edits(&graph, &edits).expect("edits apply");
     let edited_platform = apply_platform_edits(platform, &applied.edits).expect("platform applies");
-    let delta =
-        repair_from(&graph, &prior.schedule, &edited_platform, &applied, 1).expect("repairs");
+    let delta = repair_from(&graph, &prior.schedule, &edited_platform, &applied).expect("repairs");
     let expected = noc_svc::api::DeltaResponse {
         warm_start: delta.warm_start,
         reason: delta.reason.to_owned(),
@@ -2242,13 +2241,13 @@ fn run_delta_verify(
                     task: 0,
                     deadline: None,
                 }];
-                let prior = noc_svc::spec::parse_scheduler("eas", 1)
+                let prior = noc_svc::spec::parse_scheduler("eas")
                     .map_err(|e| e.to_string())?
                     .schedule(&graph, &platform)
                     .map_err(|e| e.to_string())?;
                 let applied = apply_edits(&graph, &edits)?;
                 let edited_platform = apply_platform_edits(&platform, &applied.edits)?;
-                let delta = repair_from(&graph, &prior.schedule, &edited_platform, &applied, 1)
+                let delta = repair_from(&graph, &prior.schedule, &edited_platform, &applied)
                     .map_err(|e| e.to_string())?;
                 let expected = noc_svc::api::DeltaResponse {
                     warm_start: delta.warm_start,

@@ -17,7 +17,9 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `argv` (without the program name).
+    /// Parses `argv` (without the program name). Options no subcommand
+    /// reads are kept but ignored, so old scripts that still pass a
+    /// retired option (`--journal`, `--threads`) keep working.
     ///
     /// # Errors
     ///

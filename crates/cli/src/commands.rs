@@ -27,8 +27,7 @@ USAGE:
 
   noceas schedule --graph graph.json --platform mesh:4x4
                   [--scheduler eas|eas-base|edf|dls|anneal]
-                  [--faults tile:4,link:1-2]
-                  [--threads N] [--budget-ms MS]
+                  [--faults tile:4,link:1-2] [--budget-ms MS]
                   [--out schedule.json] [--vcd waves.vcd]
                   [--trace trace.json] [--trace-format chrome|jsonl]
                   [--gantt] [--links] [--csv] [--json]
@@ -38,8 +37,8 @@ USAGE:
       into FILE: `chrome` (default) writes Chrome trace-event JSON —
       open it in Perfetto or chrome://tracing for per-stage profiling —
       `jsonl` writes one event object per line with logical timestamps
-      only, byte-identical for every --threads value. Tracing never
-      changes the schedule (see docs/OBSERVABILITY.md).
+      only, byte-identical across runs. Tracing never changes the
+      schedule (see docs/OBSERVABILITY.md).
       --budget-ms bounds the scheduler to a wall-clock compute budget;
       an exhausted budget is a clean typed error (no partial schedule),
       so retry with a larger budget or a cheaper scheduler.
@@ -48,15 +47,13 @@ USAGE:
       schedule, byte-identical across surfaces). The --out and --vcd
       artifacts are still written; --gantt/--links/--csv render into
       the replaced summary and are rejected alongside --json.
-      --threads fans trial evaluation out over N workers (0 = all
-      cores); the schedule is identical for every thread count.
       --faults masks permanently failed resources: dead PEs leave the
       candidate lists and routes detour around dead links
       (`tile:<id>`, `link:<a>-<b>` both ways, `link:<a>><b>` one way).
 
   noceas delta --graph prior_graph.json --schedule prior_schedule.json
                --platform mesh:4x4 --edits edits.json
-               [--faults SPEC] [--threads N] [--budget-ms MS]
+               [--faults SPEC] [--budget-ms MS]
                [--out schedule.json] [--json] [--explain]
       Repair a previously computed schedule after a set of typed edits
       (tasks added/removed, costs or deadlines changed, edge volumes
@@ -78,7 +75,7 @@ USAGE:
       violations then report {\"valid\":false,...} with exit code 0.
 
   noceas serve [--addr 127.0.0.1:8533] [--http-workers N]
-               [--sched-workers N] [--queue N] [--cache N] [--threads N]
+               [--sched-workers N] [--queue N] [--cache N]
                [--budget-ms MS] [--store-dir DIR] [--store-segment-bytes N]
                [--peers ADDR,ADDR,...] [--self-addr ADDR]
                [--peer-timeout-ms MS] [--probe-ms MS] [--anti-entropy-ms MS]
@@ -143,7 +140,7 @@ USAGE:
 
   noceas explain --graph graph.json --platform mesh:4x4
                  [--scheduler eas|eas-base|edf|dls|anneal]
-                 [--faults SPEC] [--threads N] [--task N]
+                 [--faults SPEC] [--task N]
       Schedule the graph with tracing on and print a per-task narrative
       of every decision: why each task got its PE (urgency vs. energy
       regret), where transfers stalled on link contention, and which
@@ -285,8 +282,7 @@ fn benchmark(args: &Args) -> Result<String, String> {
 fn schedule(args: &Args) -> Result<String, String> {
     let platform = parse_platform_faulted(args.require("platform")?, args.get("faults"))?;
     let graph = load_graph(args.require("graph")?)?;
-    let threads: usize = args.get_num("threads", 1)?;
-    let scheduler = parse_scheduler(args.get_or("scheduler", "eas"), threads)?;
+    let scheduler = parse_scheduler(args.get_or("scheduler", "eas"))?;
     let trace_format = args.get_or("trace-format", "chrome");
     if !matches!(trace_format, "chrome" | "jsonl") {
         return Err(format!(
@@ -424,8 +420,7 @@ fn schedule(args: &Args) -> Result<String, String> {
 fn explain_cmd(args: &Args) -> Result<String, String> {
     let platform = parse_platform_faulted(args.require("platform")?, args.get("faults"))?;
     let graph = load_graph(args.require("graph")?)?;
-    let threads: usize = args.get_num("threads", 1)?;
-    let scheduler = parse_scheduler(args.get_or("scheduler", "eas"), threads)?;
+    let scheduler = parse_scheduler(args.get_or("scheduler", "eas"))?;
     let task: Option<usize> = match args.get("task") {
         None => None,
         Some(text) => {
@@ -475,7 +470,6 @@ fn delta_cmd(args: &Args) -> Result<String, String> {
         fs::read_to_string(edits_path).map_err(|e| format!("cannot read {edits_path}: {e}"))?;
     let edits: Vec<Edit> =
         serde_json::from_str(&edits_text).map_err(|e| format!("cannot parse {edits_path}: {e}"))?;
-    let threads: usize = args.get_num("threads", 1)?;
     let budget = match args.get("budget-ms") {
         None => noc_eas::prelude::ComputeBudget::unlimited(),
         Some(text) => {
@@ -493,7 +487,6 @@ fn delta_cmd(args: &Args) -> Result<String, String> {
         &prior_schedule,
         &platform,
         &applied,
-        threads,
         &budget,
         &mut sink,
     )
@@ -588,7 +581,6 @@ fn serve(args: &Args) -> Result<String, String> {
         sched_workers: args.get_num("sched-workers", 2usize)?,
         queue_capacity: args.get_num("queue", 64usize)?,
         cache_capacity: args.get_num("cache", 1024usize)?,
-        threads: args.get_num("threads", 0usize)?,
         budget_ms: match args.get("budget-ms") {
             None => None,
             Some(text) => Some(
@@ -1220,6 +1212,7 @@ mod tests {
         ] {
             assert!(help.contains(cmd), "help must mention {cmd}");
         }
+        assert!(!help.contains("--threads"), "no command takes --threads");
     }
 
     #[test]
@@ -1610,7 +1603,8 @@ mod tests {
             assert!(text.contains(&format!("\"{span}\"")), "missing span {span}");
         }
 
-        // Tracing never changes the schedule artifact.
+        // Tracing never changes the schedule artifact. A leftover
+        // `--threads` from older scripts is ignored.
         let sched_plain = tmp("gt-s2.json");
         run(&args(&[
             "schedule",
@@ -1620,6 +1614,8 @@ mod tests {
             "mesh:2x2",
             "--out",
             &sched_plain,
+            "--threads",
+            "4",
         ]))
         .expect("plain schedule");
         assert_eq!(

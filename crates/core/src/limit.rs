@@ -10,8 +10,8 @@
 //! time and/or an abstract step count, and carries an optional
 //! [`CancelToken`] that an external owner can flip at any moment. The
 //! scheduler polls [`ComputeBudget::check`] at coarse, deterministic
-//! checkpoints — level-scheduling round boundaries, repair trials, GTM
-//! candidate blocks, annealing restarts and chain iterations — and
+//! checkpoints — level-scheduling round boundaries, every LTS and GTM
+//! candidate re-timing, annealing restarts and chain iterations — and
 //! unwinds with a typed [`Interrupt`] when the budget is gone. No
 //! committed reservation is ever left behind: interruption propagates
 //! as an error before any partial schedule escapes, so re-running the
@@ -83,7 +83,7 @@ impl CancelToken {
 /// A per-call compute allowance: wall-clock, steps, cancellation.
 ///
 /// Budgets are passed by shared reference and are safe to poll from
-/// the fan-out worker threads (`check` only touches atomics and a
+/// the annealing restart threads (`check` only touches atomics and a
 /// monotonic clock read). An unlimited budget never interrupts and
 /// costs one atomic increment per checkpoint.
 #[derive(Debug, Default)]

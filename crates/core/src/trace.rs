@@ -6,9 +6,9 @@
 //! threaded through [`Scheduler::schedule_traced`]. Tracing is strictly
 //! observational: a traced run commits the exact same placements as an
 //! untraced one, so schedules stay byte-identical with tracing on or
-//! off, and — because events are emitted centrally in the deterministic
-//! `(round, task, PE)` reduction order — the logical event stream is
-//! identical for every `--threads` value.
+//! off, and — because the scheduler is serial and emits events in the
+//! fixed `(round, task, PE)` order — the logical event stream is
+//! identical on every run.
 //!
 //! Timestamps come in two flavours: every event carries a logical
 //! sequence number (`seq`, assigned by the sink in emission order), and
@@ -336,7 +336,7 @@ impl EventKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Logical timestamp: emission index within the trace, assigned by
-    /// the sink. Deterministic for every thread count.
+    /// the sink. Deterministic.
     pub seq: u64,
     /// Wall-clock microseconds since the sink's origin, when the sink
     /// records wall time ([`BufferSink::with_wall_clock`]). Never set on
@@ -518,7 +518,7 @@ impl<'a> Tracer<'a> {
 /// Serializes events as JSON Lines (one compact object per line).
 ///
 /// On a logical-only trace ([`BufferSink::new`]) the output is
-/// byte-identical for every thread count.
+/// byte-identical across runs.
 #[must_use]
 pub fn to_jsonl(events: &[Event]) -> String {
     let mut out = String::new();

@@ -43,11 +43,6 @@ pub struct ScheduleRequest {
     /// Optional fault spec, e.g. `"tile:4,link:1-2"`.
     #[serde(default)]
     pub faults: Option<String>,
-    /// Worker threads for the schedulers that parallelize; results are
-    /// identical for every value, so this is *excluded* from the cache
-    /// key. Defaults to the server's `--threads`.
-    #[serde(default)]
-    pub threads: Option<usize>,
     /// `"sync"` (default) answers with the schedule; `"async"` answers
     /// `202` with a job id to poll via `GET /v1/jobs/<id>`.
     #[serde(default)]
@@ -82,8 +77,9 @@ impl ScheduleRequest {
     /// The canonical cache key: a sorted-key rendering of the
     /// *semantic* request content — graph, platform spec, fault spec and
     /// resolved scheduler name. Insensitive to JSON key order, to
-    /// defaulted-vs-explicit `scheduler`, and to the volatile `mode` /
-    /// `threads` fields (thread count never changes the schedule).
+    /// defaulted-vs-explicit `scheduler`, to the volatile `mode` and
+    /// `stats` fields, and to unknown fields (an old client's `threads`
+    /// is ignored).
     #[must_use]
     pub fn canonical_key(&self) -> String {
         let mut m = Map::new();
@@ -178,10 +174,6 @@ pub struct DeltaRequest {
     /// their serde shape, e.g.
     /// `[{"SetDeadline":{"task":3,"deadline":900}}]`.
     pub edits: Value,
-    /// Worker threads (identical output for every value; excluded from
-    /// the cache key). Defaults to the server's `--threads`.
-    #[serde(default)]
-    pub threads: Option<usize>,
     /// `"sync"` (default) or `"async"` (poll `GET /v1/jobs/<id>`).
     #[serde(default)]
     pub mode: Option<String>,
@@ -216,7 +208,7 @@ impl DeltaRequest {
     /// edits)`. The prior collapses to its own content hash, so two
     /// delta requests agree exactly when their prior requests are
     /// semantically identical and their edit sequences canonicalize to
-    /// the same JSON; `mode`, `threads` and `stats` stay excluded.
+    /// the same JSON; `mode`, `stats` and unknown fields stay excluded.
     #[must_use]
     pub fn canonical_key(&self, prior: &ScheduleRequest) -> String {
         let mut m = Map::new();

@@ -95,7 +95,6 @@ enum JobWork {
         /// The *edited* platform.
         platform: Box<Platform>,
         applied: AppliedEdits,
-        threads: usize,
     },
 }
 
@@ -249,9 +248,6 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// Response-cache capacity in entries; 0 disables caching.
     pub cache_capacity: usize,
-    /// Default scheduler thread count when a request does not name one
-    /// (0 = all hardware threads).
-    pub threads: usize,
     /// Per-request compute budget, wall-clock milliseconds. A scheduler
     /// that exhausts it is answered by the degraded EDF fallback.
     /// `None` (the default) runs schedulers to completion. Wall-clock
@@ -287,7 +283,6 @@ impl Default for EngineConfig {
         EngineConfig {
             queue_capacity: 64,
             cache_capacity: 1024,
-            threads: 0,
             budget_ms: None,
             store_dir: None,
             store_segment_bytes: crate::store::DEFAULT_SEGMENT_BYTES,
@@ -536,9 +531,8 @@ impl Engine {
             crate::spec::parse_platform_faulted(&request.platform, request.faults.as_deref())?;
         let graph =
             TaskGraph::from_value(&request.graph).map_err(|e| format!("invalid graph: {e}"))?;
-        let threads = request.threads.unwrap_or(self.config.threads);
         let scheduler_name = request.scheduler_name().to_owned();
-        let scheduler = crate::spec::parse_scheduler(&scheduler_name, threads)?;
+        let scheduler = crate::spec::parse_scheduler(&scheduler_name)?;
         Ok((
             JobWork::Schedule {
                 graph,
@@ -559,9 +553,8 @@ impl Engine {
             crate::spec::parse_platform_faulted(&prior.platform, prior.faults.as_deref())?;
         let prior_graph =
             TaskGraph::from_value(&prior.graph).map_err(|e| format!("invalid prior graph: {e}"))?;
-        let threads = request.threads.unwrap_or(self.config.threads);
         let prior_scheduler_name = prior.scheduler_name().to_owned();
-        let prior_scheduler = crate::spec::parse_scheduler(&prior_scheduler_name, threads)?;
+        let prior_scheduler = crate::spec::parse_scheduler(&prior_scheduler_name)?;
         let edits =
             Vec::<Edit>::from_value(&request.edits).map_err(|e| format!("invalid edits: {e}"))?;
         let applied =
@@ -577,7 +570,6 @@ impl Engine {
                 prior_scheduler_name,
                 platform: Box::new(platform),
                 applied,
-                threads,
             },
             request.canonical_key(&prior),
         ))
@@ -1001,7 +993,6 @@ impl Engine {
             prior_key,
             platform,
             applied,
-            threads,
         } = work
         else {
             unreachable!("execute_delta is only called on delta work");
@@ -1053,7 +1044,6 @@ impl Engine {
             &prior_schedule,
             platform,
             applied,
-            *threads,
             &budget,
             &mut sink,
         );
@@ -1621,6 +1611,18 @@ mod tests {
         };
         assert_eq!(id, id2);
         assert_eq!(*first.body, *hit.body, "delta cache hit is byte-identical");
+        // An old client's leftover `threads` field is ignored: same key,
+        // same bytes.
+        let leftover = body.replacen('{', r#"{"threads":4,"#, 1);
+        let Submission::Cached {
+            id: id3,
+            output: old_client,
+        } = engine.submit_delta(&leftover)
+        else {
+            panic!("a leftover `threads` field must hit the same cache entry");
+        };
+        assert_eq!(id, id3);
+        assert_eq!(*first.body, *old_client.body);
         assert_eq!(
             engine.metrics.delta_warm.load(Ordering::Relaxed)
                 + engine.metrics.delta_fallback.load(Ordering::Relaxed),

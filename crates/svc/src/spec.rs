@@ -109,10 +109,7 @@ impl Scheduler for ChaosPanicScheduler {
     }
 }
 
-/// Parses a scheduler name into a boxed [`Scheduler`]. `threads` sets
-/// the worker count for the schedulers that parallelize (`eas`,
-/// `eas-base`, `anneal`); `0` means all hardware threads. Results are
-/// identical for every thread count.
+/// Parses a scheduler name into a boxed [`Scheduler`].
 ///
 /// The special name `chaos-panic` resolves to a scheduler that panics
 /// on execution — a fault-injection hook for exercising the service's
@@ -121,24 +118,14 @@ impl Scheduler for ChaosPanicScheduler {
 /// # Errors
 ///
 /// Returns a message listing the valid names on unknown input.
-pub fn parse_scheduler(
-    name: &str,
-    threads: usize,
-) -> Result<Box<dyn Scheduler + Send + Sync>, String> {
+pub fn parse_scheduler(name: &str) -> Result<Box<dyn Scheduler + Send + Sync>, String> {
     match name {
         "chaos-panic" => Ok(Box::new(ChaosPanicScheduler)),
-        "eas" => Ok(Box::new(EasScheduler::new(
-            EasConfig::default().with_threads(threads),
-        ))),
-        "eas-base" => Ok(Box::new(EasScheduler::new(
-            EasConfig::base().with_threads(threads),
-        ))),
+        "eas" => Ok(Box::new(EasScheduler::full())),
+        "eas-base" => Ok(Box::new(EasScheduler::base())),
         "edf" => Ok(Box::new(EdfScheduler::new())),
         "dls" => Ok(Box::new(DlsScheduler::new())),
-        "anneal" => Ok(Box::new(AnnealScheduler::new(AnnealConfig {
-            threads,
-            ..AnnealConfig::default()
-        }))),
+        "anneal" => Ok(Box::new(AnnealScheduler::new(AnnealConfig::default()))),
         "map-then-schedule" => Ok(Box::new(MapThenScheduleScheduler::new())),
         other => Err(format!(
             "unknown scheduler `{other}` (use eas, eas-base, edf, dls, anneal or map-then-schedule)"
@@ -216,17 +203,15 @@ mod tests {
             "anneal",
             "map-then-schedule",
         ] {
-            for threads in [1usize, 4] {
-                assert_eq!(parse_scheduler(name, threads).expect("parses").name(), name);
-            }
+            assert_eq!(parse_scheduler(name).expect("parses").name(), name);
         }
-        assert!(parse_scheduler("magic", 1).is_err());
+        assert!(parse_scheduler("magic").is_err());
         assert_eq!(
-            parse_scheduler("chaos-panic", 1).expect("parses").name(),
+            parse_scheduler("chaos-panic").expect("parses").name(),
             "chaos-panic",
             "the chaos hook resolves"
         );
-        let Err(msg) = parse_scheduler("magic", 1) else {
+        let Err(msg) = parse_scheduler("magic") else {
             panic!("unknown scheduler must not parse");
         };
         assert!(

@@ -16,7 +16,6 @@ fn config() -> ServiceConfig {
         sched_workers: 2,
         queue_capacity: 8,
         cache_capacity: 64,
-        threads: 1,
         ..ServiceConfig::default()
     }
 }
