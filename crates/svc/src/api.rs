@@ -28,6 +28,16 @@ pub const TRACE_HEADER: &str = "x-noc-trace";
 /// tree (`parent_span` in the assembled trace).
 pub const SPAN_HEADER: &str = "x-noc-span";
 
+/// Decodes a request body into its API type. The error is the message
+/// the service answers 400 with.
+///
+/// # Errors
+///
+/// `invalid request body: …` when `body` is not JSON of `T`'s shape.
+pub fn decode_body<T: Deserialize>(body: &str) -> Result<T, String> {
+    serde_json::from_str(body).map_err(|e| format!("invalid request body: {e}"))
+}
+
 /// Body of `POST /v1/schedule`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScheduleRequest {

@@ -42,7 +42,7 @@ use noc_eas::prelude::{
 use noc_platform::prelude::Platform;
 
 use crate::api::{
-    DeltaRequest, DeltaResponse, ScheduleRequest, ScheduleResponse, ValidateRequest,
+    decode_body, DeltaRequest, DeltaResponse, ScheduleRequest, ScheduleResponse, ValidateRequest,
     ValidateResponse,
 };
 use crate::cache::JobOutput;
@@ -190,10 +190,10 @@ impl Job {
     }
 }
 
-/// Outcome of admitting one `POST /v1/schedule` body.
+/// Outcome of admitting one decoded `POST /v1/schedule` or
+/// `/v1/schedule/delta` request. A body that does not decode never
+/// reaches admission: [`decode_body`] answers it with 400.
 pub enum Submission {
-    /// The body was not valid JSON for a [`ScheduleRequest`] → 400.
-    BadRequest(String),
     /// The specs inside the body did not resolve (unknown platform,
     /// scheduler, fault set or malformed graph) → 422.
     BadSpec(String),
@@ -601,23 +601,25 @@ impl Engine {
     /// Admits one `POST /v1/schedule` body.
     #[cfg(test)]
     fn submit(&self, body: &str) -> Submission {
-        self.submit_traced(body, &TraceCtx::untraced())
+        let request = decode_body(body).expect("test bodies decode");
+        self.submit_parsed(body, &request, &TraceCtx::untraced())
     }
 
-    /// Admits one `POST /v1/schedule` body under the request's trace
-    /// context, so peer fills and worker-side spans attach to the
-    /// caller's trace.
+    /// Admits one decoded `POST /v1/schedule` request under the
+    /// request's trace context, so peer fills and worker-side spans
+    /// attach to the caller's trace. `body` is the raw text `request`
+    /// was decoded from, kept verbatim for write-ahead job records.
     #[must_use]
-    pub fn submit_traced(&self, body: &str, trace: &TraceCtx) -> Submission {
-        let request: ScheduleRequest = match serde_json::from_str(body) {
-            Ok(r) => r,
-            Err(e) => return Submission::BadRequest(format!("invalid request body: {e}")),
-        };
-
+    pub fn submit_parsed(
+        &self,
+        body: &str,
+        request: &ScheduleRequest,
+        trace: &TraceCtx,
+    ) -> Submission {
         // Resolve every spec *before* touching cache or queue, so a
         // request that can never schedule is rejected up front and is
         // never admitted, cached or coalesced.
-        let (work, key) = match self.resolve(&request) {
+        let (work, key) = match self.resolve(request) {
             Ok(resolved) => resolved,
             Err(e) => return Submission::BadSpec(e),
         };
@@ -630,18 +632,21 @@ impl Engine {
     /// `(prior request hash, canonical edits)`.
     #[cfg(test)]
     fn submit_delta(&self, body: &str) -> Submission {
-        self.submit_delta_traced(body, &TraceCtx::untraced())
+        let request = decode_body(body).expect("test bodies decode");
+        self.submit_delta_parsed(body, &request, &TraceCtx::untraced())
     }
 
-    /// Admits one `POST /v1/schedule/delta` body under the request's
-    /// trace context.
+    /// Admits one decoded `POST /v1/schedule/delta` request under the
+    /// request's trace context; `body` is its raw text, as for
+    /// [`submit_parsed`](Self::submit_parsed).
     #[must_use]
-    pub fn submit_delta_traced(&self, body: &str, trace: &TraceCtx) -> Submission {
-        let request: DeltaRequest = match serde_json::from_str(body) {
-            Ok(r) => r,
-            Err(e) => return Submission::BadRequest(format!("invalid request body: {e}")),
-        };
-        let (work, key) = match self.resolve_delta(&request) {
+    pub fn submit_delta_parsed(
+        &self,
+        body: &str,
+        request: &DeltaRequest,
+        trace: &TraceCtx,
+    ) -> Submission {
+        let (work, key) = match self.resolve_delta(request) {
             Ok(resolved) => resolved,
             Err(e) => return Submission::BadSpec(e),
         };
@@ -798,8 +803,7 @@ impl Engine {
     /// for unresolvable specs; structural schedule violations are a
     /// *successful* validation with `valid: false`.
     pub fn validate(&self, body: &str) -> Result<ValidateResponse, (u16, String)> {
-        let request: ValidateRequest =
-            serde_json::from_str(body).map_err(|e| (400, format!("invalid request body: {e}")))?;
+        let request: ValidateRequest = decode_body(body).map_err(|e| (400, e))?;
         let platform =
             crate::spec::parse_platform_faulted(&request.platform, request.faults.as_deref())
                 .map_err(|e| (422, e))?;
@@ -1482,10 +1486,10 @@ mod tests {
     #[test]
     fn bad_bodies_and_specs_classify() {
         let engine = engine(EngineConfig::default());
-        assert!(matches!(
-            engine.submit("not json"),
-            Submission::BadRequest(_)
-        ));
+        assert_eq!(
+            decode_body::<ScheduleRequest>("not json").map(|_| ()),
+            Err("invalid request body: unexpected keyword at byte 0".to_owned())
+        );
         assert!(matches!(
             engine.submit(r#"{"graph":{},"platform":"ring:9x9"}"#),
             Submission::BadSpec(_)
@@ -1672,10 +1676,8 @@ mod tests {
     #[test]
     fn delta_bad_bodies_classify() {
         let engine = engine(EngineConfig::default());
-        assert!(matches!(
-            engine.submit_delta("not json"),
-            Submission::BadRequest(_)
-        ));
+        assert!(decode_body::<DeltaRequest>("not json")
+            .is_err_and(|e| e.starts_with("invalid request body: ")));
         let graph = graph_json();
         // An edit addressing a task the prior graph does not have.
         let body = delta_body(&graph, r#"[{"SetDeadline":{"task":999}}]"#);

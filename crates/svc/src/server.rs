@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::api::error_body;
+use crate::api::{decode_body, error_body, DeltaRequest, ScheduleRequest};
 use crate::cluster::ClusterConfig;
 use crate::engine::{Engine, EngineConfig, Job, JobPhase, Submission};
 use crate::http::{Request, Response};
@@ -461,23 +461,31 @@ fn submission_route(
     let Ok(body) = std::str::from_utf8(&request.body) else {
         return ready(Response::json(400, error_body("request body is not UTF-8")));
     };
-    // `mode` only matters for fresh/joined jobs; a cached answer is
-    // final either way. `stats` is presentation-only: it selects how
-    // the stored output is rendered, never what is stored.
-    let (wants_async, wants_stats) = match kind {
-        SubmitKind::Schedule => serde_json::from_str::<crate::api::ScheduleRequest>(body)
-            .map(|r| (r.is_async(), r.wants_stats()))
-            .unwrap_or((false, false)),
-        SubmitKind::Delta => serde_json::from_str::<crate::api::DeltaRequest>(body)
-            .map(|r| (r.is_async(), r.wants_stats()))
-            .unwrap_or((false, false)),
+    // One decode serves admission and the response shape. `mode` only
+    // matters for fresh/joined jobs; a cached answer is final either
+    // way. `stats` is presentation-only: it selects how the stored
+    // output is rendered, never what is stored.
+    let decoded = match kind {
+        SubmitKind::Schedule => decode_body::<ScheduleRequest>(body).map(|r| {
+            (
+                engine.submit_parsed(body, &r, trace),
+                r.is_async(),
+                r.wants_stats(),
+            )
+        }),
+        SubmitKind::Delta => decode_body::<DeltaRequest>(body).map(|r| {
+            (
+                engine.submit_delta_parsed(body, &r, trace),
+                r.is_async(),
+                r.wants_stats(),
+            )
+        }),
     };
-    let submission = match kind {
-        SubmitKind::Schedule => engine.submit_traced(body, trace),
-        SubmitKind::Delta => engine.submit_delta_traced(body, trace),
+    let (submission, wants_async, wants_stats) = match decoded {
+        Ok(decoded) => decoded,
+        Err(msg) => return ready(Response::json(400, error_body(&msg))),
     };
     match submission {
-        Submission::BadRequest(msg) => ready(Response::json(400, error_body(&msg))),
         Submission::BadSpec(msg) => ready(Response::json(422, error_body(&msg))),
         Submission::Cached { id, output } => {
             ready(cached_response(&id, &output, wants_stats, "hit"))

@@ -107,6 +107,32 @@ fn malformed_and_unroutable_requests_classify() {
 }
 
 #[test]
+fn deeply_nested_body_answers_400_and_server_stays_up() {
+    let server = Server::start(config()).expect("starts");
+    let mut c = client(&server);
+
+    // 40 KB of `[`: parsing it recursively would overflow the reactor
+    // thread's stack and abort the whole process.
+    let deep = "[".repeat(20_000) + &"]".repeat(20_000);
+    for path in ["/v1/schedule", "/v1/schedule/delta"] {
+        let resp = c.post(path, &deep).expect("answers");
+        assert_eq!(resp.status, 400, "{path}: {}", resp.body);
+        assert!(
+            resp.body
+                .contains("invalid request body: nesting deeper than"),
+            "{path}: {}",
+            resp.body
+        );
+    }
+
+    let health = client(&server).get("/healthz").expect("healthz");
+    assert_eq!(health.status, 200);
+    assert_eq!(health.body, "ok\n");
+
+    server.shutdown();
+}
+
+#[test]
 fn cache_hit_returns_byte_identical_bodies() {
     let server = Server::start(config()).expect("starts");
     let mut c = client(&server);
